@@ -48,34 +48,9 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, ValidationError
 from .potentials import FOURIER_FACTOR, FourierPotential, coupling_scale
-from .util import rng
-
-IVec = tuple[int, int, int]
+from .util import IVec, _add, _ivec, _neg, _norm2, _sub, rng
 
 _ZERO: IVec = (0, 0, 0)
-
-
-def _ivec(k) -> IVec:
-    parts = tuple(k)
-    if len(parts) != 3 or any(int(c) != c for c in parts):
-        raise ValidationError(f"mode {k!r} is not an integer 3-vector")
-    return (int(parts[0]), int(parts[1]), int(parts[2]))
-
-
-def _norm2(k: IVec) -> int:
-    return k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
-
-
-def _sub(a: IVec, b: IVec) -> IVec:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _add(a: IVec, b: IVec) -> IVec:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _neg(a: IVec) -> IVec:
-    return (-a[0], -a[1], -a[2])
 
 
 class ModeSet:
@@ -265,6 +240,20 @@ class _BosonSpace:
         return entries
 
 
+def _combos_by_momentum(indices, modes, count: int) -> dict:
+    """``count``-subsets of ``indices`` grouped by total momentum.
+
+    Each group keeps ``itertools.combinations`` order.
+    """
+    groups: dict[IVec, list[tuple[int, ...]]] = {}
+    for combo in itertools.combinations(indices, count):
+        mom = _ZERO
+        for i in combo:
+            mom = _add(mom, modes[i])
+        groups.setdefault(mom, []).append(combo)
+    return groups
+
+
 def _sign_create(occ: tuple[int, ...], j: int):
     """Apply a creation operator at ModeSet index ``j`` to an occupied tuple."""
     pos = bisect_left(occ, j)
@@ -339,45 +328,64 @@ class FockBasis:
         outside = mode_set.outside_indices
         inside = mode_set.inside_indices
 
-        def excitations():
-            for pairs in range(self.max_pairs + 1):
-                for parts in itertools.combinations(outside, pairs):
-                    for holes in itertools.combinations(inside, pairs):
-                        yield parts, holes
-
-        def class_key(parts, holes):
-            if self.momentum_sector is None:
-                return None
-            mom = self.momentum_sector
-            for i in parts:
-                mom = _sub(mom, modes[i])
-            for i in holes:
-                mom = _add(mom, modes[i])
-            return mom
-
-        total = 0
-        for parts, holes in excitations():
-            key = class_key(parts, holes)
-            total += len(self._classes.get(key, ()))
+        # Dimension first, from counts alone, so the cap is checked before
+        # any state list is built.
+        if self.momentum_sector is None:
+            total = len(self._boson.configs) * sum(
+                math.comb(len(outside), p) * math.comb(len(inside), p)
+                for p in range(self.max_pairs + 1)
+            )
+        else:
+            # The block of (parts, holes) holds the boson class
+            # Q = sector - sum(parts) + sum(holes), so the particles that
+            # pair with given holes and class have a fixed total momentum.
+            by_count = [
+                (
+                    _combos_by_momentum(outside, modes, p),
+                    _combos_by_momentum(inside, modes, p),
+                )
+                for p in range(self.max_pairs + 1)
+            ]
+            total = sum(
+                len(part_groups.get(
+                    _sub(_add(self.momentum_sector, h_mom), key), ()
+                )) * len(h_combos) * len(members)
+                for part_groups, hole_groups in by_count
+                for h_mom, h_combos in hole_groups.items()
+                for key, members in self._classes.items()
+            )
         if total > max_dimension:
             raise CapacityError(
                 f"basis dimension {total} exceeds the cap {max_dimension}"
             )
         self.dimension = total
 
-        exc_configs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        block_class: list = []
+        # Excitation blocks in (pair count, particles, holes) order, which
+        # is itertools.combinations order over the ascending index lists.
+        blocks: list = []
+        if self.momentum_sector is None:
+            for p in range(self.max_pairs + 1):
+                for parts in itertools.combinations(outside, p):
+                    for holes in itertools.combinations(inside, p):
+                        blocks.append((parts, holes, None))
+        else:
+            for part_groups, hole_groups in by_count:
+                level = []
+                for h_mom, h_combos in hole_groups.items():
+                    target = _add(self.momentum_sector, h_mom)
+                    for key in self._classes:
+                        for parts in part_groups.get(_sub(target, key), ()):
+                            level.extend((parts, holes, key) for holes in h_combos)
+                level.sort()  # (parts, holes) is unique within a level
+                blocks.extend(level)
+
+        exc_configs = [(parts, holes) for parts, holes, _ in blocks]
+        block_class = [key for _, _, key in blocks]
         block_start: list[int] = []
         offset = 0
-        for parts, holes in excitations():
-            key = class_key(parts, holes)
-            members = self._classes.get(key, ())
-            if not members:
-                continue
-            exc_configs.append((parts, holes))
-            block_class.append(key)
+        for key in block_class:
             block_start.append(offset)
-            offset += len(members)
+            offset += len(self._classes[key])
         self._exc = exc_configs
         self._exc_index = {cfg: e for e, cfg in enumerate(exc_configs)}
         self._block_class = block_class

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .lattice import IVec, LuneSumTable, resolvent_sum
 from .scattering import RadialProfile
+from .util import _neg
 
 FOURIER_FACTOR = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}
 
@@ -38,10 +39,6 @@ def _as_key(k) -> IVec:
     if len(kk) != 3 or any(c != kc for c, kc in zip(k, kk)):
         raise ValidationError(f"mode index must be an integer 3-vector, got {k!r}")
     return kk
-
-
-def _neg(k: IVec) -> IVec:
-    return (-k[0], -k[1], -k[2])
 
 
 def coupling_scale(n_bosons: int, kf2) -> float:

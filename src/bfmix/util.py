@@ -1,4 +1,5 @@
-"""Small shared utilities: deterministic RNG streams, hashing, JSON canonicalization."""
+"""Small shared utilities: integer 3-vectors, deterministic RNG streams,
+hashing, JSON canonicalization."""
 
 from __future__ import annotations
 
@@ -7,7 +8,35 @@ import json
 
 import numpy as np
 
+from .errors import ValidationError
+
 MASK64 = (1 << 64) - 1
+
+IVec = tuple[int, int, int]
+
+
+def _ivec(k) -> IVec:
+    """Validate an integer 3-vector; non-integral components are rejected."""
+    parts = tuple(k)
+    if len(parts) != 3 or any(int(c) != c for c in parts):
+        raise ValidationError(f"mode {k!r} is not an integer 3-vector")
+    return (int(parts[0]), int(parts[1]), int(parts[2]))
+
+
+def _norm2(k: IVec) -> int:
+    return k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
+
+
+def _add(a: IVec, b: IVec) -> IVec:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub(a: IVec, b: IVec) -> IVec:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _neg(a: IVec) -> IVec:
+    return (-a[0], -a[1], -a[2])
 
 
 def rng(seed: int, index: int = 0) -> np.random.Generator:

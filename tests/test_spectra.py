@@ -1,9 +1,11 @@
 """Tests for eigensolvers, trial states, and spectrum comparison reports."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bfmix.errors import (
     ConvergenceError,
@@ -21,7 +23,6 @@ from bfmix.spectra import (
     EigenResult,
     _BosonAlgebra,
     _joint_truncated,
-    _lanczos_lowest,
     _truncated_lune,
     corollary_overlap,
     default_cutoff_rule,
@@ -83,14 +84,30 @@ def test_dense_excitation_kinetic_oracle():
     assert res.values[1] == 1.0
 
 
+class _MatrixHandle:
+    """The part of an operator handle that ``lowest_eigenvalues`` reads."""
+
+    def __init__(self, mat):
+        self.basis = SimpleNamespace(dimension=mat.shape[0])
+        self._matrix = sp.csr_matrix(mat)
+
+    def matrix(self):
+        return self._matrix
+
+    def apply(self, x):
+        return self._matrix @ x
+
+
 def test_lanczos_matches_eigh_on_random_matrix():
     gen = rng(3, 0)
     raw = gen.standard_normal((500, 500))
     mat = (raw + raw.T) / 2.0
-    vals, vecs, iters, converged = _lanczos_lowest(
-        lambda x: mat @ x, 500, 4, 1e-10, 400, seed=7
+    res = lowest_eigenvalues(
+        _MatrixHandle(mat), n=4, tol=1e-10, max_iter=400, method="lanczos",
+        seed=7,
     )
-    assert converged
+    vals = np.array(res.values)
+    vecs = res.vectors
     exact = np.linalg.eigvalsh(mat)[:4]
     assert np.max(np.abs(vals - exact)) <= 1e-8
     for j in range(4):
@@ -433,9 +450,34 @@ def test_effective_spectrum_momentum_sector_none_is_larger():
     assert full.values[0] <= sector.values[0] + 1e-12
 
 
+def test_effective_spectrum_rejects_fractional_sector():
+    v, w = single_mode_v(0.25), sample_w()
+    with pytest.raises(ValidationError):
+        effective_spectrum(
+            v, w, 4, 2, boson_cutoff=1, momentum_sector=(0.7, 0, 0)
+        )
+
+
 # ----------------------------------------------------------------------
 # comparison reports
 # ----------------------------------------------------------------------
+
+
+def test_compare_first_iterative_row_converges():
+    # kf2 = 36 is the first default row past dense_cutoff (dimension
+    # 2423): the iterative solve must pass its residual gate and agree
+    # with the dense solve of the same Hamiltonian.
+    v, w = single_mode_v(), sample_w()
+    (row,) = theorem1_compare(v, w, 2, [36])
+    assert not row.failed, row.message
+    assert row.dims["full"] == 2423
+    assert max(row.residuals_h) <= 1e-9
+    ms = ModeSet.ball(default_cutoff_rule(36), 36)
+    bm = reachable_boson_modes(ms, (v, w), 2)
+    basis = FockBasis(ms, bm, 2, 1, momentum_sector=(0, 0, 0))
+    op = hamiltonian(basis, v, w, lam=coupling_scale(2, 36))
+    dense = lowest_eigenvalues(op, n=1, method="dense")
+    assert abs(row.mu_h[0] - dense.values[0]) <= 1e-9
 
 
 def test_compare_rows_are_internally_consistent():
