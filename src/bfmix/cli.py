@@ -64,7 +64,7 @@ from .potentials import (
 from .scattering import (
     RadialProfile,
     born_limit,
-    collapse_energy,
+    collapse_scan,
     combine,
     conv_at_zero,
     critical_couplings,
@@ -385,8 +385,13 @@ def cmd_scatter(w_path, v_path, g_text, collapse, psi_path, n_text, out) -> None
         "v": os.path.basename(v_path), "w": os.path.basename(w_path),
     }
     meta = _meta(config)
-    crit = critical_couplings(w, v)
+    if collapse:
+        if psi_path is None:
+            raise ValidationError("--collapse requires --psi with a radial trial profile")
+        psi = load_radial(psi_path)
+        n_values = _parse_int_list(n_text)
     diagram = energy_curve(w, v, g_values, on_resonance="flag")
+    crit = diagram.critical
     rows = []
     for row in diagram.rows:
         rows.append({
@@ -414,13 +419,8 @@ def cmd_scatter(w_path, v_path, g_text, collapse, psi_path, n_text, out) -> None
             "estimate of the stability edge, so both are reported."
         )
     if collapse:
-        if psi_path is None:
-            raise ValidationError("--collapse requires --psi with a radial trial profile")
-        psi = load_radial(psi_path)
-        n_values = _parse_int_list(n_text)
         fits = []
-        for g in g_values:
-            scan = collapse_energy(psi, w, v, g, n_values)
+        for scan in collapse_scan(psi, w, v, g_values, n_values, vv=crit.vv):
             fits.append({
                 "g": scan.g,
                 "slope": scan.slope,
@@ -803,7 +803,7 @@ def _suite_scattering(seed: int, threads: int) -> list[tuple[str, float, bool]]:
     vv = radial_convolution(v, v)
     alpha = 2.25
     w_scaled = combine(alpha, vv, 0.0, vv)
-    crit = critical_couplings(w_scaled, v)
+    crit = critical_couplings(w_scaled, v, vv=vv)
     g0_gap = abs(crit.g0 - math.sqrt(alpha))
     gstar_gap = abs(crit.g_star - alpha)
     checks.append(("critical_g0_sqrt_alpha", g0_gap, g0_gap <= 1e-6))

@@ -250,6 +250,10 @@ def radial_convolution(v: RadialProfile, u: RadialProfile, n_out: int = 1025) ->
     3-point Gauss is exact. Output samples are exact values of the
     convolution of the two interpolants; the returned profile interpolates
     them linearly.
+
+    Per radius, the three Gauss nodes are evaluated as one (3, m) array; each
+    node's row is still summed on its own and accumulated in node order, so
+    the result is bitwise that of a node-by-node loop.
     """
     cum = _CumulativeRU(u)
     r_total = v.r_max + u.r_max
@@ -258,6 +262,7 @@ def radial_convolution(v: RadialProfile, u: RadialProfile, n_out: int = 1025) ->
     out[0] = conv_at_zero(v, u)
     u_nodes = u.grid
     v_nodes = v.grid
+    gauss_x = _GAUSS3_X[:, None]
     for i in range(1, n_out):
         r = out_grid[i]
         # split s wherever r+s or |r-s| crosses a knot of U, plus v's own knots
@@ -266,10 +271,12 @@ def radial_convolution(v: RadialProfile, u: RadialProfile, n_out: int = 1025) ->
         cuts = np.unique(np.concatenate([[0.0, v.r_max], cuts]))
         lo, hi = cuts[:-1], cuts[1:]
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        s = mid + half * gauss_x
+        big_u = cum(np.stack([r + s, np.abs(r - s)]))
+        terms = half * s * v(s) * (big_u[0] - big_u[1])
         acc = 0.0
-        for x, w in zip(_GAUSS3_X, _GAUSS3_W):
-            s = mid + half * x
-            acc += w * float(np.sum(half * s * v(s) * (cum(r + s) - cum(np.abs(r - s)))))
+        for w, row in zip(_GAUSS3_W, terms):
+            acc += w * float(np.sum(row))
         out[i] = 2.0 * math.pi * acc / r
     return RadialProfile(r_total, out)
 
@@ -457,6 +464,8 @@ class PhaseDiagram:
     rows: list[EnergyCurveRow]
     g0: float
     g_star: float
+    # The critical couplings the scan used, with w(0), ||v||^2 and v*v.
+    critical: CriticalCouplings
     # Whether the computed lengths were nonincreasing on the [0, g0] branch.
     # Observed behaviour on the tested grids, reported rather than asserted.
     a_nonincreasing_on_branch: bool = True
@@ -507,7 +516,7 @@ def energy_curve(w: RadialProfile, v: RadialProfile, g_values: Sequence[float],
             ))
     branch = [row.a for row in rows if row.a is not None and not row.beyond_critical]
     monotone = all(b <= a + 1e-12 for a, b in zip(branch, branch[1:]))
-    return PhaseDiagram(rows=rows, g0=crit.g0, g_star=crit.g_star,
+    return PhaseDiagram(rows=rows, g0=crit.g0, g_star=crit.g_star, critical=crit,
                         a_nonincreasing_on_branch=monotone)
 
 
@@ -553,42 +562,66 @@ def fit_collapse_slope(n_values: Sequence[int], energy_per_particle: Sequence[fl
     return float(coef[0])
 
 
-def collapse_energy(psi: RadialProfile, w: RadialProfile, v: RadialProfile,
-                    g: float, n_values: Sequence[int]) -> CollapseScan:
-    """Per-particle product-state energy at coupling g for each particle number.
+def collapse_scan(psi: RadialProfile, w: RadialProfile, v: RadialProfile,
+                  g_values: Sequence[float], n_values: Sequence[int],
+                  vv: RadialProfile | None = None) -> list[CollapseScan]:
+    """Per-particle product-state energies, one CollapseScan per coupling.
 
     With the L^2-normalized profile psi,
         E(N)/N = N^2 ||grad psi||^2 + (N^3/2)((N-1)/N) int (rho * rho) w_g,
     rho = |psi|^2. The N-dependence is reported, not assumed: the scan just
     evaluates the exact expectation row by row.
+
+    The pair integral is affine in g^2: int (rho*rho) w_g = I_w - g^2 I_vv,
+    with w and v*v resampled onto the common grid of w_g = combine(1, w,
+    -g^2, vv), so rho*rho and v*v are convolved once for the whole scan.
+    Pass ``vv`` to reuse a v*v already computed (e.g. by critical_couplings).
+    A zero v leaves w on its own grid.
     """
     norm2 = conv_at_zero(psi, psi)
     if norm2 <= 0.0:
         raise ValidationError("psi must be a nonzero profile")
     psi_n = psi.scaled(1.0 / math.sqrt(norm2))
     rho = RadialProfile(psi_n.r_max, psi_n.values ** 2)
-    vv = radial_convolution(v, v) if not v.is_zero() else None
-    if vv is None:
-        w_g = w
+    if v.is_zero():
+        w_c, vv_c = w, RadialProfile(w.r_max, np.zeros(w.n))
     else:
-        w_g = combine(1.0, w, -g * g, vv)
+        if vv is None:
+            vv = radial_convolution(v, v)
+        r_max, n = _common_grid([w, vv])
+        common = np.linspace(0.0, r_max, n)
+        w_c, vv_c = RadialProfile(r_max, w(common)), RadialProfile(r_max, vv(common))
     rr = radial_convolution(rho, rho)
-    # int (rho*rho) w_g over R^3, exact on the union grid
-    knots = np.unique(np.concatenate([rr.grid[rr.grid <= w_g.r_max], w_g.grid[w_g.grid <= rr.r_max]]))
+    # int (rho*rho) w_c and int (rho*rho) vv_c over R^3, exact on the union grid
+    grid = w_c.grid
+    knots = np.unique(np.concatenate([rr.grid[rr.grid <= w_c.r_max], grid[grid <= rr.r_max]]))
     lo, hi = knots[:-1], knots[1:]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    inter = 0.0
+    i_w = i_vv = 0.0
     for x, wq in zip(_GAUSS3_X, _GAUSS3_W):
         r = mid + half * x
-        inter += wq * float(np.sum(half * r**2 * rr(r) * w_g(r)))
-    inter *= 4.0 * math.pi
+        base = half * r**2 * rr(r)
+        i_w += wq * float(np.sum(base * w_c(r)))
+        i_vv += wq * float(np.sum(base * vv_c(r)))
+    i_w *= 4.0 * math.pi
+    i_vv *= 4.0 * math.pi
     kin = _gradient_norm_squared(psi_n)
-    energies = [float(n * n * kin + (n**3 / 2.0) * ((n - 1) / n) * inter) for n in n_values]
-    return CollapseScan(
-        g=float(g), n_values=[int(n) for n in n_values],
-        energy_per_particle=energies, kinetic=kin, interaction=inter,
-        slope=fit_collapse_slope(n_values, energies),
-    )
+    scans = []
+    for g in g_values:
+        inter = i_w - g * g * i_vv
+        energies = [float(n * n * kin + (n**3 / 2.0) * ((n - 1) / n) * inter) for n in n_values]
+        scans.append(CollapseScan(
+            g=float(g), n_values=[int(n) for n in n_values],
+            energy_per_particle=energies, kinetic=kin, interaction=inter,
+            slope=fit_collapse_slope(n_values, energies),
+        ))
+    return scans
+
+
+def collapse_energy(psi: RadialProfile, w: RadialProfile, v: RadialProfile,
+                    g: float, n_values: Sequence[int]) -> CollapseScan:
+    """collapse_scan at the single coupling g."""
+    return collapse_scan(psi, w, v, [g], n_values)[0]
 
 
 # ---------------------------------------------------------------------------

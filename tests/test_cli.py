@@ -304,6 +304,44 @@ def test_scatter_collapse_requires_psi(runner, radial_files):
     assert "--psi" in result.stderr
 
 
+@pytest.fixture()
+def convolution_calls(monkeypatch):
+    """Count the radial convolutions the scattering layer runs."""
+    import bfmix.scattering as scattering
+
+    calls = []
+    original = scattering.radial_convolution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "radial_convolution", counted)
+    return calls
+
+
+def test_scatter_collapse_requires_psi_before_any_convolution(runner, radial_files,
+                                                             convolution_calls):
+    result = runner.invoke(main, [
+        "scatter", "--w", radial_files["w"], "--v", radial_files["v"],
+        "--g", "0:0.5:1.5", "--collapse",
+    ])
+    assert result.exit_code == 2
+    assert convolution_calls == []
+
+
+def test_scatter_collapse_convolves_once_per_call(runner, radial_files, convolution_calls):
+    # v*v (shared by the critical couplings and every collapse row) and
+    # rho*rho are independent of g: two convolutions for any grid.
+    result = runner.invoke(main, [
+        "scatter", "--w", radial_files["w"], "--v", radial_files["v"],
+        "--g", "0:0.5:1.5", "--collapse", "--psi", radial_files["psi"],
+    ])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["collapse"]["fits"]) == 4
+    assert len(convolution_calls) == 2
+
+
 def test_scatter_collapse_fits(runner, radial_files):
     result = runner.invoke(main, [
         "scatter", "--w", radial_files["w"], "--v", radial_files["v"],

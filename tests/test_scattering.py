@@ -7,10 +7,14 @@ import pytest
 
 from bfmix.errors import ConvergenceError, ResonanceError, ValidationError
 from bfmix.scattering import (
+    _GAUSS3_W,
+    _GAUSS3_X,
     CollapseScan,
     RadialProfile,
+    _CumulativeRU,
     born_limit,
     collapse_energy,
+    collapse_scan,
     combine,
     conv_at_zero,
     critical_couplings,
@@ -37,6 +41,45 @@ def _lens(d: float) -> float:
 
 def _ball(height: float = 1.0, radius: float = 1.0, n: int = 257) -> RadialProfile:
     return RadialProfile.step(height, radius, n=n)
+
+
+def _gaussian(amp: float, width: float, r_max: float, n: int = 1025) -> RadialProfile:
+    grid = np.linspace(0.0, r_max, n)
+    return RadialProfile(r_max, amp * np.exp(-((grid / width) ** 2)))
+
+
+def _radial_convolution_loop(v: RadialProfile, u: RadialProfile, n_out: int = 1025) -> RadialProfile:
+    """Reference: radial_convolution with one Gauss node per pass, as first written."""
+    cum = _CumulativeRU(u)
+    r_total = v.r_max + u.r_max
+    out_grid = np.linspace(0.0, r_total, n_out)
+    out = np.empty(n_out)
+    out[0] = conv_at_zero(v, u)
+    for i in range(1, n_out):
+        r = out_grid[i]
+        cuts = np.concatenate([v.grid, u.grid - r, r - u.grid, r + u.grid, [r]])
+        cuts = cuts[(cuts > 0.0) & (cuts < v.r_max)]
+        cuts = np.unique(np.concatenate([[0.0, v.r_max], cuts]))
+        lo, hi = cuts[:-1], cuts[1:]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        acc = 0.0
+        for x, w in zip(_GAUSS3_X, _GAUSS3_W):
+            s = mid + half * x
+            acc += w * float(np.sum(half * s * v(s) * (cum(r + s) - cum(np.abs(r - s)))))
+        out[i] = 2.0 * math.pi * acc / r
+    return RadialProfile(r_total, out)
+
+
+def _pair_integral(rr: RadialProfile, w: RadialProfile) -> float:
+    """Reference: 4 pi int rr w over R^3 on the union of both grids."""
+    knots = np.unique(np.concatenate([rr.grid[rr.grid <= w.r_max], w.grid[w.grid <= rr.r_max]]))
+    lo, hi = knots[:-1], knots[1:]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    total = 0.0
+    for x, wq in zip(_GAUSS3_X, _GAUSS3_W):
+        r = mid + half * x
+        total += wq * float(np.sum(half * r**2 * rr(r) * w(r)))
+    return 4.0 * math.pi * total
 
 
 class TestRadialProfile:
@@ -108,6 +151,23 @@ class TestRadialConvolution:
         ab = radial_convolution(a, b, n_out=129)
         ba = radial_convolution(b, a, n_out=129)
         np.testing.assert_allclose(ab.values, ba.values, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("pair", [
+        "equal_grids", "r_max_4_vs_8", "ball_n65_vs_n513", "sharp_edge_inside",
+    ])
+    def test_batched_nodes_match_loop_bitwise(self, pair):
+        # Same arithmetic per element and the same per-node sums in the same
+        # order, so the batched evaluation must agree to the last bit.
+        v, u = {
+            "equal_grids": (_gaussian(0.6, 1.0, 4.0), _gaussian(0.6, 1.0, 4.0)),
+            "r_max_4_vs_8": (_gaussian(0.6, 1.0, 4.0), _gaussian(1.0, 1.5, 8.0)),
+            "ball_n65_vs_n513": (_ball(n=65), _ball(n=513)),
+            "sharp_edge_inside": (_ball(height=2.0, radius=1.5, n=129), _gaussian(0.6, 1.0, 4.0)),
+        }[pair]
+        got = radial_convolution(v, u, n_out=257)
+        want = _radial_convolution_loop(v, u, n_out=257)
+        assert got.r_max == want.r_max
+        assert np.array_equal(got.values, want.values)
 
 
 class TestScatteringLength:
@@ -292,6 +352,42 @@ class TestCollapse:
         assert scan.interaction < 0.0
         assert scan.energy_per_particle[-1] < 0.0
         assert scan.slope is not None and scan.slope > 3.0
+
+    @pytest.mark.parametrize("case", ["resampled", "shared_grid"])
+    def test_scan_matches_per_coupling_integral(self, case):
+        # The scan splits int (rho*rho) w_g into I_w - g^2 I_vv; each row must
+        # agree with the direct integral of combine(1, w, -g^2, vv) to
+        # round-off of the integral of |(rho*rho) w_g|.
+        psi = RadialProfile.from_callable(lambda r: (1 - r**2) ** 2, 1.0, n=129)
+        v = _ball(n=65)
+        vv = radial_convolution(v, v, n_out=129)
+        # "resampled": w ends at r = 1 with a sharp edge on 257 nodes, v*v on
+        # [0, 2] with 129, so both move to the common grid (2.0, 257).
+        w = _ball(height=2.0) if case == "resampled" else vv.scaled(1.7)
+        g_values = [0.0, 0.5, 1.0, 1.3, 2.0]
+        scans = collapse_scan(psi, w, v, g_values, [8, 16], vv=vv)
+        rho = psi.scaled(1.0 / math.sqrt(conv_at_zero(psi, psi)))
+        rr = radial_convolution(RadialProfile(rho.r_max, rho.values**2),
+                                RadialProfile(rho.r_max, rho.values**2))
+        assert [s.g for s in scans] == g_values
+        for g, scan in zip(g_values, scans):
+            w_g = combine(1.0, w, -g * g, vv)
+            want = _pair_integral(rr, w_g)
+            scale = _pair_integral(rr, RadialProfile(w_g.r_max, np.abs(w_g.values)))
+            assert abs(scan.interaction - want) <= 1e-13 * scale
+        assert scans[0].interaction != scans[-1].interaction
+
+    def test_scan_zero_v_keeps_w_grid(self):
+        # A zero v contributes nothing: every row is the integral over w on its
+        # own grid, whatever the coupling, and v*v is never needed.
+        psi = RadialProfile.from_callable(lambda r: (1 - r**2) ** 2, 1.0, n=129)
+        w = _ball(height=2.0, radius=2.5, n=97)
+        scans = collapse_scan(psi, w, RadialProfile.step(0.0, 3.0), [0.0, 1.0, 4.0], [8])
+        rho = psi.scaled(1.0 / math.sqrt(conv_at_zero(psi, psi)))
+        rr = radial_convolution(RadialProfile(rho.r_max, rho.values**2),
+                                RadialProfile(rho.r_max, rho.values**2))
+        want = _pair_integral(rr, w)
+        assert [s.interaction for s in scans] == [want] * 3
 
     def test_fit_slope_pure_cubic(self):
         ns = [8, 16, 32, 64]
