@@ -245,7 +245,8 @@ def main() -> None:
 @click.option("--kf2-list", "kf2_list_text", default="1,4,16,64,256",
               show_default=True, help="Sweep cutoffs, comma-separated integers.")
 @click.option("--cache-dir", default=None, help="On-disk lune cache (else BFMIX_CACHE_DIR).")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; lattice sums run on one thread.")
 @click.option("--out", default=None, help="Write the sweep CSV here instead of stdout.")
 @_cli_guard
 def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
@@ -296,7 +297,8 @@ def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.option("--cache-dir", default=None, help="On-disk lune cache (else BFMIX_CACHE_DIR).")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; lattice sums run on one thread.")
 @click.option("--out", default=None, help="Write the report here instead of stdout.")
 @_cli_guard
 def cmd_effpot(v_path, w_path, kf2_values, limit, grid_n, fmt, cache_dir,
@@ -862,7 +864,8 @@ _SUITES: dict[str, Callable[[int, int], list[tuple[str, float, bool]]]] = {
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(sorted(_SUITES)), help="Run only the named suite(s).")
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; lattice sums run on one thread.")
 @_cli_guard
 def cmd_verify(suites, seed, threads) -> None:
     """Run the structural self-check battery with fixed seeds."""

@@ -27,9 +27,9 @@ import csv
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -143,40 +143,84 @@ def fermi_ball(kf2) -> FermiBall:
 
 
 # ---------------------------------------------------------------------------
-# Lune enumeration (z-slab streaming)
+# Lune enumeration (column intervals)
+
+_ROWS = 16  # x rows per block of columns
+_POINTS = 1 << 18  # points per yielded piece (plus one run at most)
 
 
-def _lune_slabs(k: IVec, kf2, lam2=None) -> Iterable[np.ndarray]:
-    """Yield (n, 3) int64 arrays of lune points, one per z-slab, in z order.
+def _isqrt_array(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) elementwise for 0 <= n < 2^63, like _isqrt_floor.
 
-    Points p satisfy |p - k|^2 <= kf2 < |p|^2 (and |p|^2 <= lam2 if given).
-    Enumeration runs over the shifted ball k + B and filters; each slab is a
-    bounded (x, y) rectangle so peak memory stays small even for kf2 ~ 4e4.
+    sqrt is correctly rounded and integers below 2^53 are exact doubles, so
+    the float estimate is never below the root, and it is one above where
+    the input or its sqrt rounds up (int64 past 2^52, or a float just under
+    a square). The correction compares squares in the array's own dtype:
+    exact for int64, float comparisons for float64.
+    """
+    r = np.floor(np.sqrt(n)).astype(np.int64)
+    return r - (r * r > n)
+
+
+def _lune_columns(k: IVec, kf2, lam2=None) -> Iterable[np.ndarray]:
+    """Yield (4, m) int64 arrays ``x, y, z0, n``: the lune as runs along z.
+
+    Each run is the points (x, y, z0 .. z0 + n - 1). For a column (x, y) in
+    the disc (x - kx)^2 + (y - ky)^2 <= kf2 the shifted ball gives
+    |z - kz| <= rs; |p|^2 > kf2 keeps |z| >= s = isqrt(kf2 - x^2 - y^2) + 1
+    (s = 0 where x^2 + y^2 > kf2), which leaves at most two intervals, and
+    lam2 caps |z| <= isqrt(lam2 - x^2 - y^2). Columns are built in blocks of
+    _ROWS x rows and yielded in pieces of about _POINTS points, so the cost
+    is O(kF^2) columns plus the points, and temporaries stay small. Valid
+    for any k; the sums pass the canonical k so the runs lie along its
+    largest component.
     """
     kx, ky, kz = k
     r = _isqrt_floor(kf2)
-    for dz in range(-r, r + 1):
-        rem = kf2 - dz * dz
-        if rem < 0:
-            continue
-        r2 = _isqrt_floor(rem)
-        xs = np.arange(kx - r2, kx + r2 + 1, dtype=np.int64)
-        ys = np.arange(ky - r2, ky + r2 + 1, dtype=np.int64)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        z = kz + dz
-        shifted = (X - kx) ** 2 + (Y - ky) ** 2 + dz * dz
-        norm = X * X + Y * Y + z * z
-        mask = (shifted <= kf2) & (norm > kf2)
+    if lam2 is not None and lam2 >= (r + 2 + math.isqrt(kx * kx + ky * ky + kz * kz)) ** 2:
+        lam2 = None  # above every |p|^2 in the shifted ball: no cap
+    ys = np.arange(ky - r, ky + r + 1, dtype=np.int64)
+    for x0 in range(kx - r, kx + r + 1, _ROWS):
+        xs = np.arange(x0, min(x0 + _ROWS, kx + r + 1), dtype=np.int64)
+        x, y = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+        # int64 for integer kf2 (exact), float64 otherwise, as numpy promotes
+        shifted = kf2 - ((x - kx) ** 2 + (y - ky) ** 2)
+        keep = shifted >= 0
+        x, y, shifted = x[keep], y[keep], shifted[keep]
+        rs = _isqrt_array(shifted)
+        lo, hi = kz - rs, kz + rs
+        xy2 = x * x + y * y
+        inner = kf2 - xy2
+        s = np.where(inner >= 0, _isqrt_array(np.maximum(inner, 0)) + 1, 0)
         if lam2 is not None:
-            mask &= norm <= lam2
-        if not mask.any():
+            cap = lam2 - xy2
+            c = np.where(cap >= 0, _isqrt_array(np.maximum(cap, 0)), -1)
+            lo, hi = np.maximum(lo, -c), np.minimum(hi, c)
+        up0 = np.maximum(lo, s)
+        down1 = np.minimum(hi, -np.maximum(s, 1))
+        x, y = np.concatenate([x, x]), np.concatenate([y, y])
+        z0 = np.concatenate([up0, lo])
+        n = np.concatenate([hi - up0 + 1, down1 - lo + 1])
+        runs = np.stack([x, y, z0, n])[:, n > 0]
+        if runs.shape[1] == 0:
             continue
-        n = int(mask.sum())
-        out = np.empty((n, 3), dtype=np.int64)
-        out[:, 0] = X[mask]
-        out[:, 1] = Y[mask]
-        out[:, 2] = z
-        yield out
+        cum = np.cumsum(runs[3])
+        cuts = np.searchsorted(cum, np.arange(_POINTS, int(cum[-1]), _POINTS))
+        yield from np.split(runs, cuts, axis=1)
+
+
+def _run_values(start: np.ndarray, step: int, n: np.ndarray) -> np.ndarray:
+    """Concatenate the progressions start + step * i, 0 <= i < n, per run."""
+    offsets = np.repeat(np.cumsum(n) - n, n)
+    return np.repeat(start, n) + step * (np.arange(int(n.sum())) - offsets)
+
+
+def _run_denominators(runs: np.ndarray, k: IVec) -> np.ndarray:
+    """Integer denominators d(p, k) = 2 p.k - |k|^2 of every point of the runs."""
+    kx, ky, kz = k
+    x, y, z0, n = runs
+    start = 2 * (x * kx + y * ky + z0 * kz) - (kx * kx + ky * ky + kz * kz)
+    return _run_values(start, 2 * kz, n)
 
 
 def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
@@ -188,54 +232,47 @@ def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
     kf2 = _check_kf2(kf2)
     if k == (0, 0, 0):
         return np.empty((0, 3), dtype=np.int64)
-    slabs = list(_lune_slabs(k, kf2, lam2))
-    if not slabs:
+    pieces = [
+        np.stack([np.repeat(x, n), np.repeat(y, n), _run_values(z0, 1, n)], axis=1)
+        for x, y, z0, n in _lune_columns(k, kf2, lam2)
+    ]
+    if not pieces:
         return np.empty((0, 3), dtype=np.int64)
-    pts = np.concatenate(slabs, axis=0)
+    pts = np.concatenate(pieces, axis=0)
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     return pts[order]
 
 
 def lune_count(k: Sequence[int], kf2, lam2=None) -> int:
-    """|L(k)| without materializing the point list in one block."""
+    """|L(k)| from the run lengths, without listing the points."""
     k = _as_ivec(k)
     if k == (0, 0, 0):
         return 0
     kf2 = _check_kf2(kf2)
-    return sum(int(s.shape[0]) for s in _lune_slabs(k, kf2, lam2))
-
-
-def _denominators(slab: np.ndarray, k: IVec) -> np.ndarray:
-    """Integer denominators d(p,k) = 2 p.k - |k|^2 for a slab of lune points."""
-    kx, ky, kz = k
-    k2 = kx * kx + ky * ky + kz * kz
-    return 2 * (slab[:, 0] * kx + slab[:, 1] * ky + slab[:, 2] * kz) - k2
+    return sum(int(runs[3].sum()) for runs in _lune_columns(canonical_vector(k), kf2, lam2))
 
 
 # ---------------------------------------------------------------------------
 # Resolvent sums
 
 
-def _slab_sum(slab: np.ndarray, k: IVec, alpha: float) -> tuple[float, int]:
-    d = _denominators(slab, k).astype(np.float64)
-    return float(np.sum(d ** (-alpha))), int(slab.shape[0])
+def _resolvent_sum_raw(alpha: float, k: IVec, kf2, lam2=None) -> tuple[float, int]:
+    """(value, lune size): the correctly rounded sum of the terms d^(-alpha).
 
-
-def _resolvent_sum_raw(alpha: float, k: IVec, kf2, lam2=None, threads: int = 1) -> tuple[float, int]:
-    """(value, lune size) with a deterministic compensated reduction.
-
-    Each z-slab is summed with numpy's pairwise reduction, then the per-slab
-    partials are combined exactly with math.fsum in slab order, so the result
-    does not depend on the thread count.
+    One math.fsum runs over every float term, so the value does not depend
+    on the order or grouping of the points.
     """
-    slabs = _lune_slabs(k, kf2, lam2)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: _slab_sum(s, k, alpha), slabs))
-    else:
-        parts = [_slab_sum(s, k, alpha) for s in slabs]
-    value = math.fsum(p[0] for p in parts)
-    count = sum(p[1] for p in parts)
+    ck = canonical_vector(k)
+    count = 0
+
+    def terms():
+        nonlocal count
+        for runs in _lune_columns(ck, kf2, lam2):
+            d = _run_denominators(runs, ck).astype(np.float64)
+            count += d.shape[0]
+            yield (d ** (-alpha)).tolist()
+
+    value = math.fsum(chain.from_iterable(terms()))
     return value, count
 
 
@@ -252,15 +289,16 @@ def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fractio
     kf2 = _check_kf2(kf2)
     if k == (0, 0, 0):
         return Fraction(0)
+    ck = canonical_vector(k)
     counts: Counter = Counter()
     total = 0
-    for slab in _lune_slabs(k, kf2, lam2):
-        total += slab.shape[0]
+    for runs in _lune_columns(ck, kf2, lam2):
+        total += int(runs[3].sum())
         if total > EXACT_SUM_CAP:
             raise CapacityError(
                 f"exact rational sum capped at |L| <= {EXACT_SUM_CAP}; lune has more points"
             )
-        counts.update(int(d) for d in _denominators(slab, k))
+        counts.update(_run_denominators(runs, ck).tolist())
     return sum((Fraction(n, d**alpha) for d, n in sorted(counts.items())), Fraction(0))
 
 
@@ -268,13 +306,16 @@ class LuneSumTable:
     """Memo table for resolvent sums with an optional on-disk CSV cache.
 
     Each cached entry is one CSV file named by a content hash of
-    (alpha, canonical k, kf2), holding a header plus a single row
-    ``alpha,kx,ky,kz,kF_squared,value,count``. Values are stored via repr so
-    a reload is bit-exact. Only untruncated sums are persisted; truncated
-    sums (finite lam2) are memoized in memory only.
+    (summation algorithm, alpha, canonical k, kf2), holding a header plus a
+    single row ``alpha,kx,ky,kz,kF_squared,value,count``. Values are stored
+    via repr so a reload is bit-exact; the algorithm tag keeps files written
+    by an earlier summation, whose values differ in the last bits, from
+    being read. Only untruncated sums are persisted; truncated sums (finite
+    lam2) are memoized in memory only.
     """
 
     _COLUMNS = ["alpha", "kx", "ky", "kz", "kF_squared", "value", "count"]
+    _ALGORITHM = "columns-fsum"
 
     def __init__(self, cache_dir: str | None = None):
         if cache_dir is None:
@@ -290,7 +331,7 @@ class LuneSumTable:
         return (float(alpha), ck, kf2, lam2)
 
     def _path(self, alpha: float, ck: IVec, kf2) -> str:
-        h = content_hash([float(alpha), list(ck), kf2])
+        h = content_hash([self._ALGORITHM, float(alpha), list(ck), kf2])
         return os.path.join(self.cache_dir, f"lune_{h}.csv")  # type: ignore[arg-type]
 
     def _load(self, alpha: float, ck: IVec, kf2) -> tuple[float, int] | None:
@@ -333,7 +374,7 @@ class LuneSumTable:
             if disk is not None:
                 self._mem[key] = disk
                 return disk[0]
-        value, count = _resolvent_sum_raw(float(alpha), ck, kf2, lam2, threads)
+        value, count = _resolvent_sum_raw(float(alpha), ck, kf2, lam2)
         self._mem[key] = (value, count)
         if lam2 is None:
             self._store(alpha, ck, kf2, value, count)
@@ -361,7 +402,8 @@ def resolvent_sum(alpha: float, k: Sequence[int], kf2, lam2=None,
 
     Returns 0.0 for k = 0 (the lune is empty). ``lam2`` truncates the lune to
     |p|^2 <= lam2. Results are memoized per (alpha, canonical k, kf2, lam2)
-    in ``table`` (a shared default table when omitted).
+    in ``table`` (a shared default table when omitted). ``threads`` is
+    accepted for compatibility; sums run on one thread.
     """
     tbl = table if table is not None else _DEFAULT_TABLE
     return tbl.sum(alpha, k, kf2, lam2, threads)
@@ -384,47 +426,6 @@ def weighted_sum(alpha: float, beta: float, coeffs: Mapping[IVec, float], kf2,
         w = (c * c) * (1.0 + k2) ** beta
         parts.append(w * resolvent_sum(alpha, k, kf2, table=table, threads=threads))
     return math.fsum(parts)
-
-
-def joint_lune_sums(k: Sequence[int], l: Sequence[int], kf2, lam2) -> tuple[float, float]:
-    """Joint resolvent sums over pairs of lunes, used by trial-state energics.
-
-    Returns (G_bb, G_cc) where
-
-        G_bb = sum over holes h in the ball with h+k and h+l both in the
-               truncated lunes of 1 / (d(h+k, k) d(h+l, l)),
-        G_cc = sum over particles p in L(k) ∩ L(l) (capped at lam2) of
-               1 / (d(p, k) d(p, l)).
-    """
-    k = _as_ivec(k)
-    l = _as_ivec(l)
-    kf2 = _check_kf2(kf2)
-    if k == (0, 0, 0) or l == (0, 0, 0):
-        return 0.0, 0.0
-    ball = _ball_points(kf2)  # holes
-    ka = np.asarray(k, dtype=np.int64)
-    la = np.asarray(l, dtype=np.int64)
-
-    pk = ball + ka
-    pl = ball + la
-    nk = np.sum(pk * pk, axis=1)
-    nl = np.sum(pl * pl, axis=1)
-    mask = (nk > kf2) & (nk <= lam2) & (nl > kf2) & (nl <= lam2)
-    h2 = np.sum(ball * ball, axis=1)
-    g_bb = float(math.fsum(1.0 / ((nk[mask] - h2[mask]) * (nl[mask] - h2[mask]))))
-
-    lk = lune_points(k, kf2, lam2)
-    if lk.shape[0]:
-        p2 = np.sum(lk * lk, axis=1)
-        pml = lk - la
-        hl2 = np.sum(pml * pml, axis=1)
-        mask2 = hl2 <= kf2
-        dk = _denominators(lk, k)
-        dl = p2 - hl2
-        g_cc = float(math.fsum(1.0 / (dk[mask2].astype(float) * dl[mask2].astype(float))))
-    else:
-        g_cc = 0.0
-    return g_bb, g_cc
 
 
 # ---------------------------------------------------------------------------

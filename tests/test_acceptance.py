@@ -48,7 +48,7 @@ from bfmix.potentials import (
 from bfmix.scattering import (
     RadialProfile,
     born_limit,
-    collapse_energy,
+    collapse_scan,
     combine,
     critical_couplings,
     radial_convolution,
@@ -444,7 +444,7 @@ def _asymptotic_exponent(n_values, energy_per_particle) -> float:
 def test_criterion_13_collapse_scaling():
     """Past g*, -E/N grows like N^3.
 
-    collapse_energy evaluates E/N = N^2 K + N^2 (N-1) I/2 exactly.  For
+    collapse_scan evaluates E/N = N^2 K + N^2 (N-1) I/2 exactly.  For
     I < 0 the local log-log slope is 2 + N/(N - 1 - 2K/|I|), above 3 at every
     finite N, so the raw fit (scan.slope) over N in 8..64 lies above 3 by
     more than the window.  The exponent is read instead from the same
@@ -455,17 +455,17 @@ def test_criterion_13_collapse_scaling():
     v = RadialProfile(8.0, 0.7 * np.exp(-((grid / 1.2) ** 2)))
     vv = radial_convolution(v, v)
     w = combine(2.25, vv, 0.0, vv)
-    g_star = critical_couplings(w, v).g_star
+    g_star = critical_couplings(w, v, vv=vv).g_star
     psi = RadialProfile(8.0, np.exp(-((grid / 1.5) ** 2)))
     n_values = [8, 16, 32, 64]
     recovery = max(
         abs(_asymptotic_exponent(n_values, [-(n**p) * (1.0 - b / n) for n in n_values]) - p)
         for p in (2, 3, 4) for b in (-1.4, 0.0, 1.4)
     )
-    scan = collapse_energy(psi, w, v, 1.5 * g_star, n_values)
+    # one scan convolves rho*rho once and reuses vv for both couplings
+    scan, zero_scan = collapse_scan(psi, w, v, [1.5 * g_star, 0.0], n_values, vv=vv)
     exponent = _asymptotic_exponent(n_values, scan.energy_per_particle)
     exponent_ok = recovery <= 0.05 and abs(exponent - 3.0) <= 0.05
-    zero_scan = collapse_energy(psi, w, v, 0.0, n_values)
     nonneg = all(e >= 0.0 for e in zero_scan.energy_per_particle)
     _verdict(13, exponent_ok and nonneg,
              f"asymptotic exponent {exponent:.4f} vs 3.0 +- 0.05 (fit of "

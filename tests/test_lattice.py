@@ -8,7 +8,13 @@ import pytest
 
 from bfmix import lattice as lat
 from bfmix.errors import CapacityError, ValidationError
-from bfmix.util import rng
+from bfmix.util import content_hash, rng
+from lune_oracles import (
+    joint_lune_sums,
+    slab_points,
+    slab_resolvent_sum,
+    slab_resolvent_sum_exact,
+)
 
 # Hand-computed oracles (independent of the enumeration code):
 # L((1,0,0), kf2=1) = {(1,±1,0), (1,0,±1), (2,0,0)} with denominators
@@ -94,6 +100,83 @@ class TestLune:
         assert small <= full
 
 
+# Cases for the column enumerator against the slab-scan oracle: signed and
+# non-canonical k, |k|^2 >= 4 kf2 (the lune is the whole shifted ball),
+# non-integer kf2 and finite lam2 (integer and not).
+ORACLE_CASES = [
+    ((1, 0, 0), 1, None),
+    ((0, -1, 0), 7, None),
+    ((-2, 1, 3), 12, None),
+    ((3, -1, -2), 30, None),
+    ((0, 0, -4), 9, None),
+    ((1, -2, 1), 2.5, None),
+    ((2, 0, -1), 10.75, None),
+    ((-1, 1, 0), 10.75, 20),
+    ((5, 0, 0), 4, None),
+    ((-3, 4, 2), 3, None),
+    ((6, -5, 1), 10.75, None),
+    ((0, 7, -7), 2.5, 150.5),
+    ((1, 1, 0), 4, 9),
+    ((2, -1, 1), 16, 30.25),
+    ((-1, 0, 2), 25, 26),
+    ((4, 4, 0), 8, 40),
+    ((1, 2, 3), 20, 5),
+]
+
+
+class TestColumnOracle:
+    """The column-interval enumerator against the slab scan, bit for bit."""
+
+    def test_isqrt_array(self):
+        # past 2^52 the float sqrt of an int64 can round up to the next integer
+        roots = [0, 1, 2, 3, 10, 2**26 + 1, 94906265, 2**31 - 1, 3037000499]
+        n = np.array(sorted({max(r * r + e, 0) for r in roots for e in (-1, 0, 1)}), dtype=np.int64)
+        assert lat._isqrt_array(n).tolist() == [math.isqrt(int(v)) for v in n]
+        f = np.array([0.0, 0.25, 2.5, 3.999999999999999, 4.0, 10.75, 1e6 + 0.5])
+        assert lat._isqrt_array(f).tolist() == [lat._isqrt_floor(float(v)) for v in f]
+
+    @pytest.mark.parametrize("k, kf2, lam2", ORACLE_CASES)
+    def test_points_and_count(self, k, kf2, lam2):
+        pts = lat.lune_points(k, kf2, lam2)
+        assert np.array_equal(pts, slab_points(k, kf2, lam2))
+        assert lat.lune_count(k, kf2, lam2) == pts.shape[0]
+
+    @pytest.mark.parametrize("k, kf2, lam2", ORACLE_CASES)
+    def test_sums_bitwise(self, k, kf2, lam2):
+        kf2 = lat._check_kf2(kf2)
+        for alpha in (1.0, 2.0, 1.5, 3.0):
+            assert lat._resolvent_sum_raw(alpha, k, kf2, lam2) == slab_resolvent_sum(
+                alpha, k, kf2, lam2
+            )
+
+    @pytest.mark.parametrize("k, kf2, lam2", ORACLE_CASES)
+    def test_exact_fractions(self, k, kf2, lam2):
+        for alpha in (0, 1, 2):
+            assert lat.resolvent_sum_exact(alpha, k, kf2, lam2) == slab_resolvent_sum_exact(
+                alpha, k, kf2, lam2
+            )
+
+    def test_larger_shells_bitwise(self):
+        for k, kf2 in [((2, 1, 1), 400), ((1, 0, 0), 1000), ((0, 3, -1), 250.5)]:
+            assert lat._resolvent_sum_raw(1.0, k, lat._check_kf2(kf2)) == slab_resolvent_sum(
+                1.0, k, kf2
+            )
+
+    def test_block_and_piece_sizes_do_not_matter(self, monkeypatch):
+        # tiny row blocks and point pieces: many blocks, and runs split across pieces
+        k, kf2, lam2 = (2, -1, 1), 60, 90
+        ref_sum = slab_resolvent_sum(2.0, k, kf2, lam2)
+        ref_pts = slab_points(k, kf2, lam2)
+        monkeypatch.setattr(lat, "_ROWS", 3)
+        monkeypatch.setattr(lat, "_POINTS", 5)
+        assert lat._resolvent_sum_raw(2.0, k, kf2, lam2) == ref_sum
+        assert np.array_equal(lat.lune_points(k, kf2, lam2), ref_pts)
+
+    def test_huge_lam2_is_no_cap(self):
+        k, kf2 = (1, 2, 0), 9
+        assert lat._resolvent_sum_raw(1.0, k, kf2, 1e300) == lat._resolvent_sum_raw(1.0, k, kf2)
+
+
 class TestResolventSum:
     def test_exact_oracles(self):
         assert lat.resolvent_sum_exact(1, (1, 0, 0), 1) == D1_E1_KF1
@@ -114,7 +197,8 @@ class TestResolventSum:
                 assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
 
     def test_signed_permutation_invariance(self):
-        # raw enumeration (no canonicalization) must agree across the orbit
+        # every member of the orbit gives the same raw sum (the enumeration
+        # itself runs on non-canonical k in TestColumnOracle.test_points_and_count)
         base = (1, 2, 0)
         kf2 = 9
         ref, _ = lat._resolvent_sum_raw(1.0, base, kf2)
@@ -140,7 +224,7 @@ class TestResolventSum:
 
     def test_joint_sums_diagonal_equals_d2(self):
         for k, kf2, lam2 in [((1, 0, 0), 1, 9), ((1, 1, 0), 2, 16), ((0, 1, 0), 4, 25)]:
-            g_bb, g_cc = lat.joint_lune_sums(k, k, kf2, lam2)
+            g_bb, g_cc = joint_lune_sums(k, k, kf2, lam2)
             d2 = lat.resolvent_sum(2.0, k, kf2, lam2=lam2, table=lat.LuneSumTable())
             assert g_bb == pytest.approx(d2, rel=1e-12)
             assert g_cc == pytest.approx(d2, rel=1e-12)
@@ -163,7 +247,7 @@ class TestResolventSum:
             h2 = np.sum(h * h)
             if kf2 < nk <= lam2 and kf2 < nl <= lam2:
                 g_bb_ref += 1.0 / ((nk - h2) * (nl - h2))
-        g_bb, g_cc = lat.joint_lune_sums(k, l, kf2, lam2)
+        g_bb, g_cc = joint_lune_sums(k, l, kf2, lam2)
         assert g_bb == pytest.approx(g_bb_ref, rel=1e-12)
         assert g_cc == pytest.approx(g_cc_ref, rel=1e-12)
 
@@ -219,6 +303,20 @@ class TestCacheTable:
         # canonical aliases hit the same entry / same file
         t2.sum(1.0, (-2, 0, 1), 7)
         assert len(list((tmp_path / "lunes").glob("lune_*.csv"))) == 1
+
+    def test_files_of_an_earlier_algorithm_are_not_read(self, tmp_path):
+        cache = tmp_path / "lunes"
+        cache.mkdir()
+        # a file under the key without the algorithm tag, as an earlier
+        # summation wrote it, holding a value no current sum returns
+        old = cache / f"lune_{content_hash([1.0, [0, 1, 2], 7])}.csv"
+        old.write_text("alpha,kx,ky,kz,kF_squared,value,count\n1.0,0,1,2,7,999.0,1\n")
+        v1 = lat.LuneSumTable(cache_dir=str(cache)).sum(1.0, (1, 2, 0), 7)
+        assert v1 == lat._resolvent_sum_raw(1.0, (0, 1, 2), 7)[0]
+        assert len(list(cache.glob("lune_*.csv"))) == 2
+        reloaded = lat.LuneSumTable(cache_dir=str(cache))
+        assert reloaded.sum(1.0, (2, 0, 1), 7) == v1  # bit exact from the new file
+        assert reloaded.count((1, 2, 0), 7) == lat.lune_count((1, 2, 0), 7)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BFMIX_CACHE_DIR", str(tmp_path / "env_cache"))

@@ -13,7 +13,7 @@ from bfmix.errors import (
     ValidationError,
 )
 from bfmix.fock import FockBasis, ModeSet, hamiltonian, operator
-from bfmix.lattice import joint_lune_sums, resolvent_sum
+from bfmix.lattice import resolvent_sum
 from bfmix.potentials import (
     coupling_scale,
     from_coefficients,
@@ -38,6 +38,7 @@ from bfmix.spectra import (
     trial_state_energy,
 )
 from bfmix.util import canonical_json, rng
+from lune_oracles import joint_lune_sums
 
 AXIS = [(0, 0, 0), (1, 0, 0), (-1, 0, 0)]
 
