@@ -751,11 +751,6 @@ def apply(op: OperatorHandle, x) -> np.ndarray:
     return op.apply(x)
 
 
-def save_dense_csv(op: OperatorHandle, path: str) -> None:
-    """Write the dense matrix of a small operator to CSV (17 significant digits)."""
-    np.savetxt(path, op.dense(), delimiter=",", fmt="%.17g")
-
-
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
@@ -919,10 +914,8 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                 h_mode = modes[h_idx]
                 for k, coeff in vmodes:
                     p_mode = _add(h_mode, k)
-                    if p_mode not in ms:
-                        continue
-                    p_idx = ms.index_of(p_mode)
-                    if ms.inside_flags[p_idx] or p_idx in parts:
+                    p_idx = ms._index.get(p_mode)
+                    if p_idx is None or ms.inside_flags[p_idx] or p_idx in parts:
                         continue
                     step1 = _sign_create(occupied, h_idx)
                     if step1 is None:
@@ -994,10 +987,8 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
             for j_idx in parts:
                 for delta, coeff in vmodes:
                     l_mode = _add(modes[j_idx], delta)
-                    if l_mode not in ms:
-                        continue
-                    l_idx = ms.index_of(l_mode)
-                    if ms.inside_flags[l_idx]:
+                    l_idx = ms._index.get(l_mode)
+                    if l_idx is None or ms.inside_flags[l_idx]:
                         continue
                     step1 = _sign_annihilate(occupied, j_idx)
                     s1, occ1 = step1
@@ -1017,10 +1008,8 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
             for l_idx in holes:
                 for delta, coeff in vmodes:
                     j_mode = _sub(modes[l_idx], delta)
-                    if j_mode not in ms:
-                        continue
-                    j_idx = ms.index_of(j_mode)
-                    if not ms.inside_flags[j_idx]:
+                    j_idx = ms._index.get(j_mode)
+                    if j_idx is None or not ms.inside_flags[j_idx]:
                         continue
                     step1 = _sign_annihilate(occupied, l_idx)
                     s1, occ1 = step1
@@ -1097,10 +1086,8 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
         for j_idx in cfg:
             for delta, coeff in vmodes:
                 l_mode = _add(modes[j_idx], delta)
-                if l_mode not in ms:
-                    continue
-                l_idx = ms.index_of(l_mode)
-                if l_idx in occ_set:
+                l_idx = ms._index.get(l_mode)
+                if l_idx is None or l_idx in occ_set:
                     continue
                 s1, occ1 = _sign_annihilate(cfg, j_idx)
                 s2, new_cfg = _sign_create(occ1, l_idx)

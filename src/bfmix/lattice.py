@@ -14,7 +14,7 @@ and the central objects are the resolvent-weighted lune sums
 
     D_alpha(k) = sum_{p in L(k)} d(p, k)^(-alpha),
 
-their potential-weighted aggregates, and a fast line-sum approximation of
+and a fast line-sum approximation of
 ``D_alpha`` with an explicit error scale.
 
 All functions take the squared Fermi momentum ``kf2`` (exact membership tests
@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -407,25 +407,6 @@ def resolvent_sum(alpha: float, k: Sequence[int], kf2, lam2=None,
     """
     tbl = table if table is not None else _DEFAULT_TABLE
     return tbl.sum(alpha, k, kf2, lam2, threads)
-
-
-def weighted_sum(alpha: float, beta: float, coeffs: Mapping[IVec, float], kf2,
-                 table: LuneSumTable | None = None, threads: int = 1) -> float:
-    """Potential-weighted aggregate S_{alpha,beta} over nonzero modes.
-
-    ``coeffs`` maps integer vectors k to Fourier coefficients; the sum is
-    sum_k |c_k|^2 (1 + |k|^2)^beta D_alpha(k). The k = 0 term vanishes with
-    the empty lune.
-    """
-    parts = []
-    for k in sorted(coeffs):
-        c = coeffs[k]
-        if c == 0 or tuple(k) == (0, 0, 0):
-            continue
-        k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-        w = (c * c) * (1.0 + k2) ** beta
-        parts.append(w * resolvent_sum(alpha, k, kf2, table=table, threads=threads))
-    return math.fsum(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ This module compares the boson-excitation Hamiltonian on a hard-cutoff
 Fock basis against the purely bosonic Hamiltonian built from the
 fermion-mediated effective pair potential.  It provides
 
-* a deterministic symmetric eigensolver (dense, or SciPy's LOBPCG block
-  solver) returning values, vectors and true residuals,
+* a deterministic symmetric eigensolver (dense ``eigh`` up to 200
+  states, SciPy's LOBPCG block solver beyond) returning values, vectors
+  and true residuals,
 * dressed trial states ``(1 - lambda * R * pair_creation) Phi`` with
   closed-form norm and energy evaluation through second order in the
   pair coupling,
@@ -132,20 +133,21 @@ def lowest_eigenvalues(
     basis=None,
     n: int = 1,
     tol: float = 1e-10,
-    max_iter: int = 400,
-    dense_cutoff: int = 2000,
+    max_iter: int = 2000,
+    dense_cutoff: int = 200,
     method: str = "auto",
     seed: int = 7,
 ) -> EigenResult:
     """The ``n`` lowest eigenpairs of a symmetric operator handle.
 
-    ``method`` may be ``"auto"`` (dense up to ``dense_cutoff``
+    ``method`` may be ``"auto"`` (dense up to ``dense_cutoff`` = 200
     dimensions, iterative beyond), ``"dense"``, or ``"lanczos"``, the
-    historical name of the iterative path, which runs LOBPCG on a
-    seeded random start block.  Both paths are deterministic for a
-    fixed ``seed``; results carry true residuals recomputed from the
-    operator.  Raises :class:`~bfmix.errors.ConvergenceError` (with all
-    ``n`` estimates attached) when an iterative residual exceeds
+    historical name of the iterative path, which runs LOBPCG on a seeded
+    random start block for at most ``max_iter`` iterations.  Both paths
+    are deterministic for a fixed ``seed``; results carry true residuals
+    recomputed from the operator.  Raises
+    :class:`~bfmix.errors.ConvergenceError` (with all ``n`` estimates
+    attached) when an iterative residual exceeds
     ``10 * tol * max(1, max |mu|)``.
     """
     if basis is not None and basis is not op.basis:
@@ -858,6 +860,10 @@ class SpectrumReport:
     n_inside: int | None = None
     failed: bool = False
     message: str = ""
+    method_h: str | None = None
+    iterations_h: int | None = None
+    method_eff: str | None = None
+    iterations_eff: int | None = None
 
     def to_json_dict(self) -> dict:
         def f(x):
@@ -898,6 +904,10 @@ class SpectrumReport:
             ),
             "failed": bool(self.failed),
             "message": self.message,
+            "method_H": self.method_h,
+            "iterations_H": self.iterations_h,
+            "method_eff": self.method_eff,
+            "iterations_eff": self.iterations_eff,
         }
 
 
@@ -1021,6 +1031,11 @@ def _compare_row(
         momentum_sector=(0, 0, 0),
         max_dimension=max_dimension,
     )
+    if n > basis0.dimension:
+        raise ValidationError(
+            f"n_eigenvalues {n} exceeds the dimension {basis0.dimension} "
+            f"of the effective boson basis at kf2 {kf2}"
+        )
     h_eff_op = hamiltonian(basis0, zero_potential(), w_eff, lam=0.0)
     eig_eff = lowest_eigenvalues(h_eff_op, n=n, tol=tol, seed=seed)
     w_kf0 = eff.at_zero
@@ -1064,6 +1079,7 @@ def _compare_row(
         shortcut = True
 
     if shortcut:
+        eig_h = eig_eff
         mu_h = eig_eff.values
         residuals_h = eig_eff.residuals
         overlap = 1.0
@@ -1125,6 +1141,10 @@ def _compare_row(
         const_v0=float(-0.5 * (n_bosons - 2) * v0 * v0),
         fermi_energy=fermi_energy,
         n_inside=n_inside,
+        method_h=eig_h.method,
+        iterations_h=int(eig_h.iterations),
+        method_eff=eig_eff.method,
+        iterations_eff=int(eig_eff.iterations),
     )
     return report
 

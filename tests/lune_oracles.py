@@ -4,7 +4,8 @@
 full (x, y) rectangle and masked, O(kF^3) per k. It shares no code with the
 column-interval enumerator in ``bfmix.lattice``, so the two pin each other.
 ``joint_lune_sums`` is the reference for the trial-state joint sums that
-``bfmix.spectra`` computes on its truncated mode set.
+``bfmix.spectra`` computes on its truncated mode set. ``weighted_sum`` is the
+potential-weighted aggregate of the package's own lune sums.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bfmix.lattice import _as_ivec, _ball_points, _check_kf2, _isqrt_floor
+from bfmix.lattice import _as_ivec, _ball_points, _check_kf2, _isqrt_floor, resolvent_sum
 
 
 def lune_slabs(k, kf2, lam2=None):
@@ -117,3 +118,19 @@ def joint_lune_sums(k, l, kf2, lam2) -> tuple[float, float]:
     else:
         g_cc = 0.0
     return g_bb, g_cc
+
+
+def weighted_sum(alpha: float, beta: float, coeffs, kf2) -> float:
+    """S_{alpha,beta} = sum_k |c_k|^2 (1 + |k|^2)^beta D_alpha(k) over nonzero k.
+
+    ``coeffs`` maps integer vectors k to Fourier coefficients; the k = 0 term
+    vanishes with the empty lune.
+    """
+    parts = []
+    for k in sorted(coeffs):
+        c = coeffs[k]
+        if c == 0 or tuple(k) == (0, 0, 0):
+            continue
+        k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+        parts.append((c * c) * (1.0 + k2) ** beta * resolvent_sum(alpha, k, kf2))
+    return math.fsum(parts)

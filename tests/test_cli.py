@@ -417,6 +417,18 @@ def test_spectrum_bad_field_type_is_schema_error(runner, tmp_path):
     assert "n_bosons" in result.stderr
 
 
+def test_spectrum_too_many_eigenvalues_names_the_field(runner, fourier_files, tmp_path):
+    # The effective boson basis has 3 states at kf2 1 here; asking for 4
+    # eigenvalues is a config error that names the field, the row and the size.
+    cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
+                          n_eigenvalues=4)
+    result = runner.invoke(main, ["spectrum", "--config", cfg])
+    assert result.exit_code == 2
+    assert "n_eigenvalues 4" in result.stderr
+    assert "kf2 1" in result.stderr
+    assert "dimension 3" in result.stderr
+
+
 def test_spectrum_particle_hole_check_line(runner, fourier_files, tmp_path):
     cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"])
     result = runner.invoke(main, ["spectrum", "--config", cfg, "--check", "ph"])

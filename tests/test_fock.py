@@ -22,7 +22,6 @@ from bfmix.fock import (
     operator,
     particle_hole_check,
     pull_through_check,
-    save_dense_csv,
 )
 from bfmix.potentials import (
     FOURIER_FACTOR,
@@ -33,6 +32,11 @@ from bfmix.potentials import (
 from bfmix.util import rng
 
 SIX_MODES = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 0, 0)]
+
+
+def save_dense_csv(op: OperatorHandle, path: str) -> None:
+    """Write the dense matrix of a small operator to CSV (17 significant digits)."""
+    np.savetxt(path, op.dense(), delimiter=",", fmt="%.17g")
 
 
 def six_mode_set() -> ModeSet:

@@ -464,10 +464,19 @@ def test_effective_spectrum_rejects_fractional_sector():
 # ----------------------------------------------------------------------
 
 
+def _compare_row_hamiltonian(v, w, kf2):
+    """The coupled Hamiltonian that a default two-boson compare row solves."""
+    ms = ModeSet.ball(default_cutoff_rule(kf2), kf2)
+    bm = reachable_boson_modes(ms, (v, w), 2)
+    basis = FockBasis(ms, bm, 2, 1, momentum_sector=(0, 0, 0))
+    return hamiltonian(basis, v, w, lam=coupling_scale(2, kf2))
+
+
 def test_compare_first_iterative_row_converges():
-    # kf2 = 36 is the first default row past dense_cutoff (dimension
-    # 2423): the iterative solve must pass its residual gate and agree
-    # with the dense solve of the same Hamiltonian.
+    # kf2 = 36 (dimension 2423) is far past dense_cutoff, like every
+    # default row from kf2 4 (207 states) on: the iterative solve must pass
+    # its residual gate and agree with the dense solve of the same
+    # Hamiltonian.
     v, w = single_mode_v(), sample_w()
     (row,) = theorem1_compare(v, w, 2, [36])
     assert not row.failed, row.message
@@ -479,6 +488,50 @@ def test_compare_first_iterative_row_converges():
     op = hamiltonian(basis, v, w, lam=coupling_scale(2, 36))
     dense = lowest_eigenvalues(op, n=1, method="dense")
     assert abs(row.mu_h[0] - dense.values[0]) <= 1e-9
+
+
+def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
+    # kf2 9, 16 and 25 are past the dense cutoff: ``auto`` runs LOBPCG,
+    # which must agree with a full eigh of the same Hamiltonian.  n = 2 is the
+    # slow case: 525 LOBPCG iterations at kf2 16.
+    v, w = single_mode_v(), sample_w()
+    kf2s, dims = [9, 16, 25], [559, 1031, 1671]
+    dense = {
+        kf2: lowest_eigenvalues(
+            _compare_row_hamiltonian(v, w, kf2), n=3, method="dense"
+        ).values
+        for kf2 in kf2s
+    }
+    for n in (1, 2, 3):
+        rows = theorem1_compare(v, w, 2, kf2s, n=n)
+        for row, dim in zip(rows, dims):
+            assert not row.failed, row.message
+            assert row.dims["full"] == dim
+            assert row.method_h == "lanczos"
+            assert row.iterations_h > 0
+            assert row.method_eff == "dense"
+            assert len(row.mu_h) == n
+            assert max(row.residuals_h) <= 1e-9
+            for got, want in zip(row.mu_h, dense[row.kf2]):
+                assert abs(got - want) <= 1e-9
+
+
+def test_compare_runs_no_eigh_past_the_dense_cutoff(monkeypatch):
+    import bfmix.spectra as spectra
+
+    shapes = []
+    original = spectra.sla.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigh", counted)
+    rows = theorem1_compare(single_mode_v(), sample_w(), 2, [9, 16])
+    assert not any(r.failed for r in rows)
+    # One dense solve per row, on the 3-state effective boson basis; the
+    # 559- and 1031-state coupled solves never reach eigh.
+    assert shapes == [(3, 3), (3, 3)]
 
 
 def test_compare_rows_are_internally_consistent():
@@ -511,6 +564,12 @@ def test_compare_zero_potential_is_exact():
         assert r.w_kf0 == 0.0
         assert r.envelope_c == 0.0
         assert r.trial_rayleigh == pytest.approx(r.mu_eff[0], rel=1e-12)
+    # One eigenvalue sits below the pair shelf, so both rows skip the coupled
+    # solve and report the effective one for both sides.
+    for r in theorem1_compare(zero_potential(1), w, 2, [1, 2], n=1):
+        assert r.dims["full"] > r.dims["boson"] == 3
+        assert (r.method_h, r.iterations_h) == ("dense", 3)
+        assert (r.method_eff, r.iterations_eff) == ("dense", 3)
 
 
 def test_compare_const_v0_single_boson():
@@ -538,6 +597,10 @@ def test_compare_failed_row_is_reported():
 
 def test_compare_validation():
     v, w = single_mode_v(), sample_w()
+    with pytest.raises(
+        ValidationError, match="n_eigenvalues 4 exceeds the dimension 3"
+    ):
+        theorem1_compare(v, w, 2, [9], n=4)
     with pytest.raises(ValidationError):
         theorem1_compare(v, w, 0, [1])
     with pytest.raises(ValidationError):
@@ -558,11 +621,19 @@ def test_reports_serialization_is_deterministic():
     payload = reports_json(
         theorem1_compare(v, w, 2, [1], n=1)
     )[0]
-    for key in (
-        "kF_squared", "lambda", "dims", "mu_H", "mu_eff", "W_kF0",
-        "diff", "trial_rayleigh", "overlap", "envelope_C",
-    ):
-        assert key in payload
+    assert list(payload) == [
+        "kF_squared", "kF_cutoff_squared", "lambda", "n_bosons", "max_pairs",
+        "momentum_sector", "dims", "mu_H", "residuals_H", "mu_eff",
+        "residuals_eff", "W_kF0", "eff_side", "diff", "trial_rayleigh",
+        "overlap", "Q", "envelope_value", "envelope_C", "proxy_mu1",
+        "const_int", "const_v0", "fermi_energy", "n_inside", "failed",
+        "message", "method_H", "iterations_H", "method_eff", "iterations_eff",
+    ]
+    # 53 states and a 3-state effective basis: both sides solve dense
+    assert payload["method_H"] == "dense"
+    assert payload["iterations_H"] == payload["dims"]["full"] == 53
+    assert payload["method_eff"] == "dense"
+    assert payload["iterations_eff"] == payload["dims"]["boson"]
     csv_text = reports_csv(theorem1_compare(v, w, 2, [1], n=1))
     header = csv_text.splitlines()[0].split(",")
     assert header[0] == "kF_squared"
