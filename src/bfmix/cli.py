@@ -211,6 +211,12 @@ def _parse_grid(text: str):
     return [start + i * step for i in range(count)]
 
 
+# Accepted so existing command lines keep working; sums run on one thread.
+_threads_option = click.option(
+    "--threads", type=int, default=1, show_default=True, expose_value=False,
+    help="Accepted for compatibility; lattice sums run on one thread.")
+
+
 def _format_value(value: float) -> str:
     """Full-precision scalar; integral values print without a trailing .0."""
     if value == int(value):
@@ -245,12 +251,11 @@ def main() -> None:
 @click.option("--kf2-list", "kf2_list_text", default="1,4,16,64,256",
               show_default=True, help="Sweep cutoffs, comma-separated integers.")
 @click.option("--cache-dir", default=None, help="On-disk lune cache (else BFMIX_CACHE_DIR).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Accepted for compatibility; lattice sums run on one thread.")
+@_threads_option
 @click.option("--out", default=None, help="Write the sweep CSV here instead of stdout.")
 @_cli_guard
 def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
-             cache_dir, threads, out) -> None:
+             cache_dir, out) -> None:
     """Lattice sums over the shifted-ball lune: single values or a sweep."""
     table = LuneSumTable(cache_dir)
     if sweep:
@@ -260,7 +265,7 @@ def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
             "alpha": None, "command": "lune-sweep",
             "k_list": [list(k) for k in k_list], "kf2_list": kf2_list,
         }
-        rows = asymptotics_report(k_list, kf2_list, table=table, threads=threads)
+        rows = asymptotics_report(k_list, kf2_list, table=table)
         header = ["kx", "ky", "kz", "kF_squared", "regime", "D1",
                   "D1_over_2pi_kF", "D1_over_pi_kF", "normalized_dev", "D2", "D2_ratio"]
         table_rows = []
@@ -276,7 +281,7 @@ def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
     if k_text is None or kf2 is None:
         raise ValidationError("--k and --kf2 are required unless --sweep is given")
     k = _parse_ivec(k_text)
-    value = resolvent_sum(alpha, k, kf2, lam2=lam2, table=table, threads=threads)
+    value = resolvent_sum(alpha, k, kf2, lam2=lam2, table=table)
     click.echo(_format_value(value))
 
 
@@ -297,12 +302,11 @@ def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.option("--cache-dir", default=None, help="On-disk lune cache (else BFMIX_CACHE_DIR).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Accepted for compatibility; lattice sums run on one thread.")
+@_threads_option
 @click.option("--out", default=None, help="Write the report here instead of stdout.")
 @_cli_guard
 def cmd_effpot(v_path, w_path, kf2_values, limit, grid_n, fmt, cache_dir,
-               threads, out) -> None:
+               out) -> None:
     """Fermion-mediated pair potential at finite sea depth or in the limit."""
     v = load_fourier(v_path)
     table = LuneSumTable(cache_dir)
@@ -331,8 +335,8 @@ def cmd_effpot(v_path, w_path, kf2_values, limit, grid_n, fmt, cache_dir,
         raise ValidationError("provide at least one --kf2 (or --limit with --W)")
     rows = []
     for kf2 in sorted(kf2_values):
-        eff = effective_potential_kF(v, kf2, table=table, threads=threads)
-        sup = sup_difference(v, kf2, table=table, threads=threads, grid_n=grid_n)
+        eff = effective_potential_kF(v, kf2, table=table)
+        sup = sup_difference(v, kf2, table=table, grid_n=grid_n)
         rows.append({
             "kF_squared": kf2,
             "at_zero": eff.at_zero,
@@ -573,7 +577,7 @@ def cmd_spectrum(config_path, check_name, out_dir) -> None:
             max_pairs=config["max_pairs"], n=config["n_eigenvalues"],
             boson_cutoff=config["boson_cutoff"], tol=config["tol"],
             max_dimension=config["max_dimension"], table=table,
-            threads=config["threads"], seed=config["seed"],
+            seed=config["seed"],
         )
         json_path = os.path.join(out_base, "compare.json")
         csv_path = os.path.join(out_base, "compare.csv")
@@ -608,7 +612,7 @@ def cmd_spectrum(config_path, check_name, out_dir) -> None:
                     max_pairs=config["max_pairs"], boson_cutoff=config["boson_cutoff"],
                     tol=config["tol"], gap_tol=config["gap_tol"],
                     max_dimension=config["max_dimension"], table=table,
-                    threads=config["threads"], seed=config["seed"],
+                    seed=config["seed"],
                 )
                 rows.append({"kF_squared": kf2, "overlap": value, "error": None})
                 outcomes.append(("property", False))
@@ -697,28 +701,28 @@ def _gaussian_profile(amplitude: float, width: float, r_max: float = 8.0,
     return RadialProfile(r_max, amplitude * np.exp(-((grid / width) ** 2)))
 
 
-def _suite_lattice(seed: int, threads: int) -> list[tuple[str, float, bool]]:
+def _suite_lattice(seed: int) -> list[tuple[str, float, bool]]:
     checks = []
-    d1 = resolvent_sum(1, (1, 0, 0), 1, threads=threads)
+    d1 = resolvent_sum(1, (1, 0, 0), 1)
     checks.append(("axis_first_power", abs(d1 - 13.0 / 3.0), abs(d1 - 13.0 / 3.0) <= 1e-12))
-    d2 = resolvent_sum(2, (1, 0, 0), 1, threads=threads)
+    d2 = resolvent_sum(2, (1, 0, 0), 1)
     checks.append(("axis_second_power", abs(d2 - 37.0 / 9.0), abs(d2 - 37.0 / 9.0) <= 1e-12))
     exact = float(resolvent_sum_exact(1, (1, 1, 0), 4))
-    fl = resolvent_sum(1, (1, 1, 0), 4, threads=threads)
+    fl = resolvent_sum(1, (1, 1, 0), 4)
     checks.append(("fraction_cross_check", abs(exact - fl), abs(exact - fl) <= 1e-10))
     n_pts = lune_count((2, 1, 0), 25)
     listed = len(lune_points((2, 1, 0), 25))
     checks.append(("count_consistency", float(abs(n_pts - listed)), n_pts == listed))
     for alpha in (1, 2):
         appr = summation_formula((1, 0, 0), 400, alpha)
-        exact_val = resolvent_sum(alpha, (1, 0, 0), 400, threads=threads)
+        exact_val = resolvent_sum(alpha, (1, 0, 0), 400)
         err = abs(appr.main_term + appr.boundary_term - exact_val)
         ratio = err / max(appr.error_scale, 1e-300)
         checks.append((f"plane_sum_alpha{alpha}", ratio, ratio <= 5.0))
     return checks
 
 
-def _suite_potentials(seed: int, threads: int) -> list[tuple[str, float, bool]]:
+def _suite_potentials(seed: int) -> list[tuple[str, float, bool]]:
     checks = []
     v = _sample_fourier(seed, 0, include_zero=False)
     u = _sample_fourier(seed, 1, include_zero=True)
@@ -734,11 +738,11 @@ def _suite_potentials(seed: int, threads: int) -> list[tuple[str, float, bool]]:
     parseval = abs(l2 - math.sqrt(v.squared_l2())) / max(l2, 1e-300)
     checks.append(("parseval_l2", parseval, parseval <= 1e-6))
     single = from_coefficients({(1, 0, 0): 0.3}, cutoff=1)
-    eff = effective_potential_kF(single, 1, threads=threads)
+    eff = effective_potential_kF(single, 1)
     expected = FOURIER_FACTOR * 0.09 * (13.0 / 3.0) / (2.0 * math.pi)
     gap = abs(eff.coefficient((1, 0, 0)) - expected)
     checks.append(("mediated_coefficient", gap, gap <= 1e-12))
-    sd = sup_difference(v, 25, threads=threads)
+    sd = sup_difference(v, 25)
     order = sd.grid_lower - sd.bound
     checks.append(("sup_bracket_order", max(order, 0.0), order <= 1e-12))
     lim = effective_potential_limit(u, v)
@@ -750,7 +754,7 @@ def _suite_potentials(seed: int, threads: int) -> list[tuple[str, float, bool]]:
     return checks
 
 
-def _suite_fock(seed: int, threads: int) -> list[tuple[str, float, bool]]:
+def _suite_fock(seed: int) -> list[tuple[str, float, bool]]:
     checks = []
     ms = ModeSet(_PH_MODES, kf2=1, symmetric=False)
     space = _OffChargeSpace(ms, 3, 3)
@@ -783,7 +787,7 @@ def _suite_fock(seed: int, threads: int) -> list[tuple[str, float, bool]]:
     return checks
 
 
-def _suite_scattering(seed: int, threads: int) -> list[tuple[str, float, bool]]:
+def _suite_scattering(seed: int) -> list[tuple[str, float, bool]]:
     checks = []
     r_max, n = 8.0, 4097
     grid = np.linspace(0.0, r_max, n)
@@ -815,7 +819,7 @@ def _suite_scattering(seed: int, threads: int) -> list[tuple[str, float, bool]]:
     return checks
 
 
-def _suite_spectra(seed: int, threads: int) -> list[tuple[str, float, bool]]:
+def _suite_spectra(seed: int) -> list[tuple[str, float, bool]]:
     checks = []
     single = from_coefficients({(1, 0, 0): 0.3}, cutoff=1)
     w = from_coefficients({(0, 0, 0): 0.6, (1, 0, 0): 0.2}, cutoff=1)
@@ -851,7 +855,7 @@ def _suite_spectra(seed: int, threads: int) -> list[tuple[str, float, bool]]:
     return checks
 
 
-_SUITES: dict[str, Callable[[int, int], list[tuple[str, float, bool]]]] = {
+_SUITES: dict[str, Callable[[int], list[tuple[str, float, bool]]]] = {
     "lattice": _suite_lattice,
     "potentials": _suite_potentials,
     "fock": _suite_fock,
@@ -864,15 +868,14 @@ _SUITES: dict[str, Callable[[int, int], list[tuple[str, float, bool]]]] = {
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(sorted(_SUITES)), help="Run only the named suite(s).")
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Accepted for compatibility; lattice sums run on one thread.")
+@_threads_option
 @_cli_guard
-def cmd_verify(suites, seed, threads) -> None:
+def cmd_verify(suites, seed) -> None:
     """Run the structural self-check battery with fixed seeds."""
     selected = list(suites) if suites else sorted(_SUITES)
     all_ok = True
     for name in selected:
-        checks = _SUITES[name](seed, threads)
+        checks = _SUITES[name](seed)
         suite_ok = all(ok for _, _, ok in checks)
         all_ok = all_ok and suite_ok
         for label, margin, ok in checks:

@@ -467,40 +467,38 @@ class FockBasis:
         }
 
     # -- internal assembly helpers ---------------------------------------
-    def _shift_blocks(self, m: IVec):
-        """Shift-operator entries grouped by source momentum class.
+    def _class_blocks(self, entries, m: IVec) -> dict:
+        """Boson entries ``(to, from, value)`` of an operator that moves
+        total boson momentum by ``-m``, grouped by source momentum class.
 
         Returns ``{class_key: (to_pos, from_pos, values, to_class_key)}`` with
-        positions local to the respective classes.
+        positions local to the respective classes.  With no sector restriction
+        the single class ``None`` holds every entry.
         """
-        if m in self._shift_block_cache:
-            return self._shift_block_cache[m]
+        buckets: dict = {}
+        for t, f, v in entries:
+            key = None if self.momentum_sector is None else self._boson.momenta[f]
+            buckets.setdefault(key, []).append((t, f, v))
         grouped: dict = {}
-        if self.momentum_sector is None:
-            entries = self._boson.shift_entries(m)
-            if entries:
-                to_idx = np.array([t for t, _, _ in entries], dtype=np.int64)
-                from_idx = np.array([f for _, f, _ in entries], dtype=np.int64)
-                vals = np.array([v for _, _, v in entries])
-                grouped[None] = (to_idx, from_idx, vals, None)
-        else:
-            buckets: dict[IVec, list[tuple[int, int, float]]] = {}
-            for t, f, v in self._boson.shift_entries(m):
-                buckets.setdefault(self._boson.momenta[f], []).append((t, f, v))
-            for key, entries in buckets.items():
-                to_key = _sub(key, m)
-                to_pos = self._class_pos.get(to_key)
-                from_pos = self._class_pos[key]
-                if to_pos is None:
-                    continue
-                to_idx = np.array([to_pos[t] for t, _, _ in entries], dtype=np.int64)
-                from_idx = np.array(
-                    [from_pos[f] for _, f, _ in entries], dtype=np.int64
-                )
-                vals = np.array([v for _, _, v in entries])
-                grouped[key] = (to_idx, from_idx, vals, to_key)
-        self._shift_block_cache[m] = grouped
+        for key, items in buckets.items():
+            to_key = None if key is None else _sub(key, m)
+            to_pos = self._class_pos.get(to_key)
+            if to_pos is None:
+                continue
+            from_pos = self._class_pos[key]
+            to_idx = np.array([to_pos[t] for t, _, _ in items], dtype=np.int64)
+            from_idx = np.array([from_pos[f] for _, f, _ in items], dtype=np.int64)
+            vals = np.array([v for _, _, v in items])
+            grouped[key] = (to_idx, from_idx, vals, to_key)
         return grouped
+
+    def _shift_blocks(self, m: IVec) -> dict:
+        """``_class_blocks`` of the shift operator S_m, cached per ``m``."""
+        if m not in self._shift_block_cache:
+            self._shift_block_cache[m] = self._class_blocks(
+                self._boson.shift_entries(m), m
+            )
+        return self._shift_block_cache[m]
 
 
 def build_basis(
@@ -567,9 +565,6 @@ class PhysicalBasis:
     @property
     def boson_dimension(self) -> int:
         return len(self._boson.configs)
-
-    def state_index(self, fermion_idx: int, boson_idx: int) -> int:
-        return fermion_idx * self.boson_dimension + boson_idx
 
 
 def build_physical_basis(
@@ -641,7 +636,6 @@ _NEEDS_W = {
     "full_hamiltonian",
     "conjugated_hamiltonian",
 }
-_PHYSICAL = {"full_hamiltonian", "conjugated_hamiltonian"}
 
 
 class OperatorHandle:
@@ -746,11 +740,6 @@ def hamiltonian(
     return OperatorHandle("excitation_hamiltonian", basis, v=v, w=w, lam=lam)
 
 
-def apply(op: OperatorHandle, x) -> np.ndarray:
-    """Apply ``op`` to a coefficient vector (deterministic, cached matrix)."""
-    return op.apply(x)
-
-
 # ----------------------------------------------------------------------
 # assembly
 # ----------------------------------------------------------------------
@@ -816,63 +805,19 @@ def _boson_interaction_local(bspace: _BosonSpace, w: FourierPotential):
     return entries
 
 
-def _lift_boson_entries(basis: FockBasis, entries) -> sp.csr_matrix:
-    """Lift boson-space entries (momentum-conserving) to the full basis."""
-    dim = basis.dimension
-    if not entries:
-        return sp.csr_matrix((dim, dim))
-    by_class: dict = {}
-    if basis.momentum_sector is None:
-        to_idx = np.array([t for t, _, _ in entries], dtype=np.int64)
-        from_idx = np.array([f for _, f, _ in entries], dtype=np.int64)
-        vals = np.array([v for _, _, v in entries])
-        by_class[None] = (to_idx, from_idx, vals)
-    else:
-        buckets: dict[IVec, list[tuple[int, int, float]]] = {}
-        for t, f, v in entries:
-            buckets.setdefault(basis._boson.momenta[f], []).append((t, f, v))
-        for key, items in buckets.items():
-            pos = basis._class_pos.get(key)
-            if pos is None:
-                continue
-            to_idx = np.array([pos[t] for t, _, _ in items], dtype=np.int64)
-            from_idx = np.array([pos[f] for _, f, _ in items], dtype=np.int64)
-            vals = np.array([v for _, _, v in items])
-            by_class[key] = (to_idx, from_idx, vals)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for e, key in enumerate(basis._block_class):
-        if key not in by_class:
-            continue
-        to_idx, from_idx, vals = by_class[key]
-        start = basis._block_start[e]
-        rows.append(to_idx + start)
-        cols.append(from_idx + start)
-        data.append(vals)
-    if not rows:
-        return sp.csr_matrix((dim, dim))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return mat.tocsr()
-
-
 def _coupling_blocks(basis: FockBasis, transitions) -> sp.csr_matrix:
     """Assemble coupling entries from excitation transitions.
 
-    ``transitions`` yields ``(e_to, e_from, sign, m)``: the fermionic matrix
-    element ``sign`` between excitation configurations combined with the
-    boson shift ``S_m``.
+    ``transitions`` yields ``(e_to, e_from, sign, blocks)``: the fermionic
+    matrix element ``sign`` between excitation configurations combined with
+    a boson operator grouped by :meth:`FockBasis._class_blocks`.
     """
     dim = basis.dimension
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
-    for e_to, e_from, sign, m in transitions:
+    for e_to, e_from, sign, blocks in transitions:
         key_from = basis._block_class[e_from]
-        blocks = basis._shift_blocks(m)
         if key_from not in blocks:
             continue
         to_pos, from_pos, vals, to_key = blocks[key_from]
@@ -932,7 +877,7 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                     e_to = basis._exc_index.get(target)
                     if e_to is None:
                         continue
-                    yield e_to, e_from, coeff * s1 * s2, k
+                    yield e_to, e_from, coeff * s1 * s2, basis._shift_blocks(k)
 
     return _coupling_blocks(basis, transitions())
 
@@ -962,7 +907,7 @@ def _pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_mat
                     e_to = basis._exc_index.get(target)
                     if e_to is None:
                         continue
-                    yield e_to, e_from, coeff * s1 * s2, _neg(k)
+                    yield e_to, e_from, coeff * s1 * s2, basis._shift_blocks(_neg(k))
 
     return _coupling_blocks(basis, transitions())
 
@@ -1003,7 +948,7 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
                     e_to = basis._exc_index.get(target)
                     if e_to is None:
                         continue
-                    yield e_to, e_from, coeff * s1 * s2, delta
+                    yield e_to, e_from, coeff * s1 * s2, basis._shift_blocks(delta)
             # Hole hop l -> l - delta (−c*_j c_l with j = l − delta).
             for l_idx in holes:
                 for delta, coeff in vmodes:
@@ -1024,7 +969,7 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
                     e_to = basis._exc_index.get(target)
                     if e_to is None:
                         continue
-                    yield e_to, e_from, -coeff * s1 * s2, delta
+                    yield e_to, e_from, -coeff * s1 * s2, basis._shift_blocks(delta)
 
     return _coupling_blocks(basis, transitions())
 
@@ -1179,8 +1124,11 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
         const = 0.0
         if n >= 1:
             const += (n - 1) / 2.0 * op.w.coefficient(_ZERO) / FOURIER_FACTOR
-        mat = _lift_boson_entries(
-            basis, _boson_interaction_local(basis._boson, op.w)
+        blocks = basis._class_blocks(
+            _boson_interaction_local(basis._boson, op.w), _ZERO
+        )
+        mat = _coupling_blocks(
+            basis, ((e, e, 1.0, blocks) for e in range(len(basis._exc)))
         )
         if const:
             mat = (mat + const * sp.identity(basis.dimension, format="csr")).tocsr()

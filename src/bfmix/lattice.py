@@ -35,23 +35,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .util import content_hash
-
-IVec = tuple[int, int, int]
+from .util import IVec, _ivec, content_hash
 
 EXACT_SUM_CAP = 10_000  # largest lune for the exact-rational path
-
-
-def _as_ivec(k: Sequence[int]) -> IVec:
-    """Validate and normalize an integer lattice vector."""
-    if len(k) != 3:
-        raise ValidationError(f"lattice vector must have 3 components, got {len(k)}")
-    out = []
-    for c in k:
-        if isinstance(c, bool) or int(c) != c:
-            raise ValidationError(f"lattice vector components must be integers, got {k!r}")
-        out.append(int(c))
-    return tuple(out)  # type: ignore[return-value]
 
 
 def canonical_vector(k: Sequence[int]) -> IVec:
@@ -61,7 +47,7 @@ def canonical_vector(k: Sequence[int]) -> IVec:
     coordinate axes (and under k -> -k, which they contain), so the sorted
     absolute-value triple indexes each symmetry class.
     """
-    kx, ky, kz = _as_ivec(k)
+    kx, ky, kz = _ivec(k)
     return tuple(sorted((abs(kx), abs(ky), abs(kz))))  # type: ignore[return-value]
 
 
@@ -228,7 +214,7 @@ def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
 
     Returns an (n, 3) int64 array sorted lexicographically. L(0) is empty.
     """
-    k = _as_ivec(k)
+    k = _ivec(k)
     kf2 = _check_kf2(kf2)
     if k == (0, 0, 0):
         return np.empty((0, 3), dtype=np.int64)
@@ -245,11 +231,11 @@ def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
 
 def lune_count(k: Sequence[int], kf2, lam2=None) -> int:
     """|L(k)| from the run lengths, without listing the points."""
-    k = _as_ivec(k)
-    if k == (0, 0, 0):
+    ck = canonical_vector(k)
+    if ck == (0, 0, 0):
         return 0
     kf2 = _check_kf2(kf2)
-    return sum(int(runs[3].sum()) for runs in _lune_columns(canonical_vector(k), kf2, lam2))
+    return sum(int(runs[3].sum()) for runs in _lune_columns(ck, kf2, lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +271,7 @@ def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fractio
     if int(alpha) != alpha or alpha < 0:
         raise ValidationError(f"exact path requires integer alpha >= 0, got {alpha!r}")
     alpha = int(alpha)
-    k = _as_ivec(k)
+    k = _ivec(k)
     kf2 = _check_kf2(kf2)
     if k == (0, 0, 0):
         return Fraction(0)
@@ -359,12 +345,13 @@ class LuneSumTable:
         os.replace(tmp, path)
 
     # -- lookup ------------------------------------------------------------
+    # ``threads`` is unused; it stays because perfbench/spans.py passes it
+    # positionally when it wraps this method.
     def sum(self, alpha: float, k: Sequence[int], kf2, lam2=None, threads: int = 1) -> float:
-        k = _as_ivec(k)
-        if k == (0, 0, 0):
+        ck = canonical_vector(k)
+        if ck == (0, 0, 0):
             return 0.0
         kf2 = _check_kf2(kf2)
-        ck = canonical_vector(k)
         key = self._key(alpha, ck, kf2, lam2)
         hit = self._mem.get(key)
         if hit is not None:
@@ -381,15 +368,14 @@ class LuneSumTable:
         return value
 
     def count(self, k: Sequence[int], kf2, lam2=None) -> int:
-        k = _as_ivec(k)
-        if k == (0, 0, 0):
-            return 0
         ck = canonical_vector(k)
+        if ck == (0, 0, 0):
+            return 0
         key = self._key(1.0, ck, _check_kf2(kf2), lam2)
         hit = self._mem.get(key)
         if hit is not None:
             return hit[1]
-        self.sum(1.0, k, kf2, lam2)
+        self.sum(1.0, ck, kf2, lam2)
         return self._mem[key][1]
 
 
@@ -397,16 +383,17 @@ _DEFAULT_TABLE = LuneSumTable()
 
 
 def resolvent_sum(alpha: float, k: Sequence[int], kf2, lam2=None,
-                  table: LuneSumTable | None = None, threads: int = 1) -> float:
+                  table: LuneSumTable | None = None) -> float:
     """D_alpha(k) = sum over the lune L(k) of d(p,k)^(-alpha).
 
+    ``k`` must be an integer 3-vector (no bool), else ValidationError.
     Returns 0.0 for k = 0 (the lune is empty). ``lam2`` truncates the lune to
     |p|^2 <= lam2. Results are memoized per (alpha, canonical k, kf2, lam2)
-    in ``table`` (a shared default table when omitted). ``threads`` is
-    accepted for compatibility; sums run on one thread.
+    in ``table`` (a shared default table when omitted). Sums run on one
+    thread.
     """
     tbl = table if table is not None else _DEFAULT_TABLE
-    return tbl.sum(alpha, k, kf2, lam2, threads)
+    return tbl.sum(alpha, k, kf2, lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +437,7 @@ def summation_formula(k: Sequence[int], kf2, alpha: float) -> LineSumApproximati
     does not cover the lune and a ValidationError is raised. Terms are
     normalized so main + boundary approximates D_alpha directly.
     """
-    k = _as_ivec(k)
+    k = _ivec(k)
     kf2 = _check_kf2(kf2)
     k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     if k2 == 0:
@@ -501,7 +488,7 @@ def summation_formula(k: Sequence[int], kf2, alpha: float) -> LineSumApproximati
 
 
 def asymptotics_report(k_list: Iterable[Sequence[int]], kf2_list: Iterable,
-                       table: LuneSumTable | None = None, threads: int = 1) -> list[dict]:
+                       table: LuneSumTable | None = None) -> list[dict]:
     """Tabulate D_1 and D_2 against their large-k_F envelopes.
 
     For |k| < 2 k_F ("bulk") D_1 tends to its continuum value pi k_F: the
@@ -516,7 +503,7 @@ def asymptotics_report(k_list: Iterable[Sequence[int]], kf2_list: Iterable,
     """
     rows = []
     for k in k_list:
-        kv = _as_ivec(k)
+        kv = _ivec(k)
         if kv == (0, 0, 0):
             raise ValidationError("asymptotics_report requires nonzero k")
         k2 = kv[0] ** 2 + kv[1] ** 2 + kv[2] ** 2
@@ -524,12 +511,12 @@ def asymptotics_report(k_list: Iterable[Sequence[int]], kf2_list: Iterable,
             kf2c = _check_kf2(kf2)
             kf = math.sqrt(kf2c)
             lg = max(math.log(kf), 1.0)
-            d1 = resolvent_sum(1.0, kv, kf2c, table=table, threads=threads)
+            d1 = resolvent_sum(1.0, kv, kf2c, table=table)
             ratio = d1 / (math.pi * kf)
             row = {"k": kv, "kF_squared": kf2c, "D1": d1,
                    "D1_over_2pi_kF": d1 / (2.0 * math.pi * kf), "D1_over_pi_kF": ratio}
             if k2 < 4 * kf2c:
-                d2 = resolvent_sum(2.0, kv, kf2c, table=table, threads=threads)
+                d2 = resolvent_sum(2.0, kv, kf2c, table=table)
                 row.update(
                     regime="bulk",
                     normalized_dev=abs(ratio - 1.0) * kf ** (1.0 / 3.0) / (lg ** (5.0 / 3.0) * k2 ** 2),

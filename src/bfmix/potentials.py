@@ -25,20 +25,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import IVec, LuneSumTable, resolvent_sum
+from .lattice import LuneSumTable, resolvent_sum
 from .scattering import RadialProfile
-from .util import _neg
+from .util import IVec, _ivec, _neg
 
 FOURIER_FACTOR = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}
 
 _SYMMETRY_TOL = 1e-12
-
-
-def _as_key(k) -> IVec:
-    kk = tuple(int(c) for c in k)
-    if len(kk) != 3 or any(c != kc for c, kc in zip(k, kk)):
-        raise ValidationError(f"mode index must be an integer 3-vector, got {k!r}")
-    return kk
 
 
 def coupling_scale(n_bosons: int, kf2) -> float:
@@ -69,7 +62,7 @@ class FourierPotential:
 
     # -- table access ---------------------------------------------------------
     def coefficient(self, k) -> float:
-        return self.coeffs.get(_as_key(k), 0.0)
+        return self.coeffs.get(_ivec(k), 0.0)
 
     def items(self) -> list[tuple[IVec, float]]:
         """Nonzero entries in lexicographic mode order (deterministic)."""
@@ -137,7 +130,7 @@ def from_coefficients(entries, cutoff: int, label: str = "") -> FourierPotential
         entries = entries.items()
     raw: dict[IVec, float] = {}
     for k, value in entries:
-        key = _as_key(k)
+        key = _ivec(k)
         if max(abs(c) for c in key) > cutoff:
             raise ValidationError(f"mode {key} exceeds cutoff {cutoff} (max-norm)")
         value = float(value)
@@ -245,8 +238,8 @@ class EffectivePotential:
         return self.base.coefficient(k)
 
 
-def effective_potential_kF(v: FourierPotential, kf2, table: LuneSumTable | None = None,
-                           threads: int = 1) -> EffectivePotential:
+def effective_potential_kF(v: FourierPotential, kf2,
+                           table: LuneSumTable | None = None) -> EffectivePotential:
     """Mediated potential of the Fermi sea with |k_F|^2 = kf2.
 
     Coefficient at mode k != 0: (2 pi)^{3/2} |c_V(k)|^2 d1(k, kf2) / (2 pi k_F);
@@ -257,7 +250,7 @@ def effective_potential_kF(v: FourierPotential, kf2, table: LuneSumTable | None 
     for k, c in v.items():
         if k == (0, 0, 0) or c == 0.0:
             continue
-        d1 = resolvent_sum(1, k, kf2, table=table, threads=threads)
+        d1 = resolvent_sum(1, k, kf2, table=table)
         val = FOURIER_FACTOR * c * c * d1 / (2.0 * math.pi * k_fermi)
         if val != 0.0:
             out[k] = val
@@ -290,7 +283,7 @@ class SupDifference(NamedTuple):
 
 
 def sup_difference(v: FourierPotential, kf2, table: LuneSumTable | None = None,
-                   threads: int = 1, grid_n: int = 16) -> SupDifference:
+                   grid_n: int = 16) -> SupDifference:
     """Sup-norm bracket for W_sea - (V*V - zero-mode constant).
 
     The difference has coefficients (2 pi)^{3/2}|c_V(k)|^2 (d1/(2 pi k_F) - 1)
@@ -305,7 +298,7 @@ def sup_difference(v: FourierPotential, kf2, table: LuneSumTable | None = None,
     for k, c in v.items():
         if k == (0, 0, 0) or c == 0.0:
             continue
-        d1 = resolvent_sum(1, k, kf2, table=table, threads=threads)
+        d1 = resolvent_sum(1, k, kf2, table=table)
         dev = d1 / (2.0 * math.pi * k_fermi) - 1.0
         total.append(c * c * abs(dev))
         val = FOURIER_FACTOR * c * c * dev

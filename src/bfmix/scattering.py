@@ -475,10 +475,6 @@ class PhaseDiagram:
     def g_grid(self) -> list[float]:
         return [row.g for row in self.rows]
 
-    @property
-    def a_values(self) -> list[float | None]:
-        return [row.a for row in self.rows]
-
 
 def energy_curve(w: RadialProfile, v: RadialProfile, g_values: Sequence[float],
                  on_resonance: str = "raise") -> PhaseDiagram:

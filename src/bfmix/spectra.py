@@ -47,7 +47,7 @@ from .errors import (
     DegeneracyError,
     ValidationError,
 )
-from .fock import FockBasis, ModeSet, hamiltonian, operator
+from .fock import FockBasis, ModeSet, _expand_diag, hamiltonian, operator
 from .lattice import lune_count
 from .potentials import (
     FOURIER_FACTOR,
@@ -380,10 +380,11 @@ def _truncated_lune(
     flags = mode_set.inside_flags
     for i in mode_set.outside_indices:
         p = modes[i]
-        j = mode_set.index_of(_sub(p, k)) if _sub(p, k) in mode_set else None
+        h = _sub(p, k)
+        j = mode_set._index.get(h)
         if j is None or not flags[j]:
             continue
-        out.append((p, float(_norm2(p) - _norm2(_sub(p, k)))))
+        out.append((p, float(_norm2(p) - _norm2(h))))
     return out
 
 
@@ -409,17 +410,15 @@ def _joint_truncated(
     cc_terms: list[float] = []
     for p, dk in lune_k:
         q = _add(p, step)
-        if q in mode_set:
-            jq = mode_set.index_of(q)
-            if not flags[jq]:
-                dl = float(_norm2(q) - _norm2(_sub(q, l)))
-                bb_terms.append(1.0 / (dk * dl))
+        jq = mode_set._index.get(q)
+        if jq is not None and not flags[jq]:
+            dl = float(_norm2(q) - _norm2(_sub(q, l)))
+            bb_terms.append(1.0 / (dk * dl))
         r = _sub(p, l)
-        if r in mode_set:
-            jr = mode_set.index_of(r)
-            if flags[jr]:
-                dl = float(_norm2(p) - _norm2(r))
-                cc_terms.append(1.0 / (dk * dl))
+        jr = mode_set._index.get(r)
+        if jr is not None and flags[jr]:
+            dl = float(_norm2(p) - _norm2(r))
+            cc_terms.append(1.0 / (dk * dl))
     return fsum(bb_terms), fsum(cc_terms)
 
 
@@ -758,7 +757,6 @@ def effective_spectrum(
     tol: float = 1e-10,
     max_dimension: int = 2_000_000,
     table=None,
-    threads: int = 1,
     seed: int = 7,
 ) -> EffectiveSpectrumResult:
     """Eigenvalues and gap of the boson Hamiltonian with a mediated pair term.
@@ -785,7 +783,7 @@ def effective_spectrum(
             1.0,
             w,
             -1.0,
-            effective_potential_kF(v, kf2, table=table, threads=threads).base,
+            effective_potential_kF(v, kf2, table=table).base,
             label="effective_pair_potential",
         )
         ms_kf2 = kf2
@@ -1013,13 +1011,12 @@ def _compare_row(
     tol: float,
     max_dimension: int,
     table,
-    threads: int,
     seed: int,
 ) -> SpectrumReport:
     mode_set = ModeSet.ball(lam2, kf2)
     bmodes = reachable_boson_modes(mode_set, (v, w), boson_cutoff)
     lam = coupling_scale(n_bosons, kf2) if n_bosons >= 1 else 0.0
-    eff = effective_potential_kF(v, kf2, table=table, threads=threads)
+    eff = effective_potential_kF(v, kf2, table=table)
     w_eff = linear_combination(
         1.0, w, -1.0, eff.base, label="effective_pair_potential"
     )
@@ -1161,7 +1158,6 @@ def theorem1_compare(
     tol: float = 1e-10,
     max_dimension: int = 2_000_000,
     table=None,
-    threads: int = 1,
     seed: int = 7,
 ) -> list[SpectrumReport]:
     """Compare truncated and effective spectra across Fermi cutoffs.
@@ -1206,7 +1202,6 @@ def theorem1_compare(
                     tol,
                     max_dimension,
                     table,
-                    threads,
                     seed,
                 )
             )
@@ -1262,7 +1257,6 @@ def corollary_overlap(
     gap_tol: float = 1e-8,
     max_dimension: int = 2_000_000,
     table=None,
-    threads: int = 1,
     seed: int = 7,
 ) -> float:
     """Ground-state overlap between the two routes at one cutoff.
@@ -1289,7 +1283,6 @@ def corollary_overlap(
         tol,
         max_dimension,
         table,
-        threads,
         seed,
     )
     gap_h = report.mu_h[1] - report.mu_h[0]
@@ -1306,17 +1299,6 @@ def corollary_overlap(
 # ----------------------------------------------------------------------
 # quadratic-form decomposition diagnostic
 # ----------------------------------------------------------------------
-
-
-def _expanded_block_arrays(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    t = np.empty(basis.dimension)
-    pc = np.empty(basis.dimension, dtype=int)
-    for e, key in enumerate(basis._block_class):
-        start = basis._block_start[e]
-        ln = len(basis._classes[key])
-        t[start : start + ln] = basis._t_diag[e]
-        pc[start : start + ln] = basis._pair_count[e]
-    return t, pc
 
 
 @dataclass(eq=False)
@@ -1421,7 +1403,8 @@ def quadratic_decomposition_check(
         max_dimension=max_dimension,
     )
     vp1 = operator("pair_create", basis1, v=v).matrix()
-    t1, pc1 = _expanded_block_arrays(basis1)
+    t1 = _expand_diag(basis1, basis1._t_diag, None)
+    pc1 = _expand_diag(basis1, basis1._pair_count, None)
     safe_t1 = np.where(pc1 >= 1, t1, np.inf)
     eff = effective_potential_kF(v, kf2)
     lunes_complete = all(
@@ -1626,7 +1609,8 @@ def quadratic_decomposition_check(
     )
     vp2 = operator("pair_create", basis2, v=v).matrix()
     vm2 = operator("pair_annihilate", basis2, v=v).matrix()
-    t2, pc2 = _expanded_block_arrays(basis2)
+    t2 = _expand_diag(basis2, basis2._t_diag, None)
+    pc2 = _expand_diag(basis2, basis2._pair_count, None)
     tinv2 = np.where(pc2 == 2, 1.0 / np.where(pc2 == 2, t2, 1.0), 0.0)
     product = vm2 @ sp.diags(tinv2).tocsr() @ vp2
     order = np.empty(dim1, dtype=int)
@@ -1652,7 +1636,8 @@ def quadratic_decomposition_check(
     )
     vps = operator("pair_create", basis2s, v=v).matrix()
     vms = operator("pair_annihilate", basis2s, v=v).matrix()
-    ts, pcs = _expanded_block_arrays(basis2s)
+    ts = _expand_diag(basis2s, basis2s._t_diag, None)
+    pcs = _expand_diag(basis2s, basis2s._pair_count, None)
     sqrt_t = sp.diags(np.sqrt(ts)).tocsr()
     inv_half = sp.diags(
         np.where(pcs >= 1, 1.0 / np.sqrt(np.where(pcs >= 1, ts, 1.0)), 0.0)

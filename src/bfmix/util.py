@@ -16,9 +16,9 @@ IVec = tuple[int, int, int]
 
 
 def _ivec(k) -> IVec:
-    """Validate an integer 3-vector; non-integral components are rejected."""
+    """Validate an integer 3-vector: three integral components, no bool."""
     parts = tuple(k)
-    if len(parts) != 3 or any(int(c) != c for c in parts):
+    if len(parts) != 3 or any(isinstance(c, bool) or int(c) != c for c in parts):
         raise ValidationError(f"mode {k!r} is not an integer 3-vector")
     return (int(parts[0]), int(parts[1]), int(parts[2]))
 

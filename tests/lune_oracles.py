@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from bfmix.lattice import _as_ivec, _ball_points, _check_kf2, _isqrt_floor, resolvent_sum
+from bfmix.lattice import _ball_points, _check_kf2, _isqrt_floor, resolvent_sum
+from bfmix.util import _ivec
 
 
 def lune_slabs(k, kf2, lam2=None):
@@ -52,7 +53,7 @@ def lune_slabs(k, kf2, lam2=None):
 
 def slab_points(k, kf2, lam2=None) -> np.ndarray:
     """The lune from the slab scan, sorted lexicographically like lune_points."""
-    k = _as_ivec(k)
+    k = _ivec(k)
     slabs = list(lune_slabs(k, _check_kf2(kf2), lam2))
     if not slabs:
         return np.empty((0, 3), dtype=np.int64)
@@ -69,13 +70,13 @@ def denominators(pts: np.ndarray, k) -> np.ndarray:
 def slab_resolvent_sum(alpha: float, k, kf2, lam2=None) -> tuple[float, int]:
     """(value, count): math.fsum over every float term d^(-alpha) of the slab scan."""
     pts = slab_points(k, kf2, lam2)
-    terms = denominators(pts, _as_ivec(k)).astype(np.float64) ** (-alpha)
+    terms = denominators(pts, _ivec(k)).astype(np.float64) ** (-alpha)
     return math.fsum(terms.tolist()), int(pts.shape[0])
 
 
 def slab_resolvent_sum_exact(alpha: int, k, kf2, lam2=None) -> Fraction:
     """Exact rational D_alpha(k) over the slab scan."""
-    counts = Counter(denominators(slab_points(k, kf2, lam2), _as_ivec(k)).tolist())
+    counts = Counter(denominators(slab_points(k, kf2, lam2), _ivec(k)).tolist())
     return sum((Fraction(n, d**alpha) for d, n in sorted(counts.items())), Fraction(0))
 
 
@@ -89,8 +90,8 @@ def joint_lune_sums(k, l, kf2, lam2) -> tuple[float, float]:
         G_cc = sum over particles p in L(k) ∩ L(l) (capped at lam2) of
                1 / (d(p, k) d(p, l)).
     """
-    k = _as_ivec(k)
-    l = _as_ivec(l)
+    k = _ivec(k)
+    l = _ivec(l)
     kf2 = _check_kf2(kf2)
     if k == (0, 0, 0) or l == (0, 0, 0):
         return 0.0, 0.0

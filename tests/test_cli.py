@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -499,3 +500,90 @@ def test_verify_full_battery(runner):
     assert result.exit_code == 0
     for name in ("fock", "lattice", "potentials", "scattering", "spectra"):
         assert f"suite {name}: pass" in result.output
+
+
+# ---------------------------------------------------------------------------
+# --threads is accepted and changes nothing
+
+
+@pytest.mark.parametrize("args", [
+    ["lune", "--k", "1,0,0", "--kf2", "1"],
+    ["lune", "--sweep", "--k-list", "1,0,0;1,1,0", "--kf2-list", "1,4"],
+    ["effpot", "--V", "{v}", "--kf2", "4", "--kf2", "9"],
+    ["verify", "--suite", "lattice"],
+])
+def test_threads_flag_leaves_output_unchanged(runner, fourier_files, args):
+    args = [a.format(v=fourier_files["v"]) for a in args]
+    threads = "3" if args[0] == "verify" else "4"
+    plain = runner.invoke(main, args)
+    flagged = runner.invoke(main, args + ["--threads", threads])
+    assert plain.exit_code == 0
+    assert flagged.exit_code == 0
+    assert flagged.output == plain.output
+
+
+def test_spectrum_threads_field_leaves_rows_unchanged(runner, fourier_files, tmp_path):
+    rows = {}
+    for threads in (None, 3):
+        extra = {} if threads is None else {"threads": threads}
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        cfg = spectrum_config(out, v=fourier_files["v"], w=fourier_files["w"], **extra)
+        result = runner.invoke(main, ["spectrum", "--config", cfg])
+        assert result.exit_code == 0
+        with open(out / "out" / "compare.json") as fh:
+            rows[threads] = json.load(fh)["rows"]
+    assert rows[3] == rows[None]
+
+
+# ---------------------------------------------------------------------------
+# README examples run as written
+
+
+def _readme_sections():
+    """Map each `### ` heading of README.md to the fenced blocks under it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    sections: dict[str, list[tuple[str, str]]] = {}
+    heading, fence, body = "", None, []
+    for line in lines:
+        if fence is not None:
+            if line.startswith("```"):
+                sections.setdefault(heading, []).append((fence, "\n".join(body)))
+                fence, body = None, []
+            else:
+                body.append(line)
+        elif line.startswith("```"):
+            fence = line[3:].strip()
+        elif line.startswith("### "):
+            heading = line[4:]
+    return sections
+
+
+def _readme_commands(sh_text: str) -> list[list[str]]:
+    commands = []
+    for line in sh_text.replace("\\\n", " ").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("bfmix "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+@pytest.mark.parametrize("command", ["effpot", "scatter"])
+def test_readme_examples_run(runner, tmp_path, monkeypatch, command):
+    sections = {h.split("`")[1]: blocks for h, blocks in _readme_sections().items()
+                if h.startswith("`bfmix ")}
+    blocks = sections[f"bfmix {command}"]
+    (example,) = [json.loads(text) for fence, text in blocks if fence == "json"]
+    commands = [c for fence, text in blocks if fence == "sh" for c in _readme_commands(text)]
+    assert commands and all(c[0] == command for c in commands)
+    file_flags = {"--V", "--W", "--w", "--v", "--psi"}
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        for flag, value in zip(args, args[1:]):
+            if flag in file_flags:
+                with open(value, "w") as fh:
+                    json.dump(example, fh)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)

@@ -14,7 +14,6 @@ from bfmix.fock import (
     _OffChargeSpace,
     _ph_image,
     _sign_annihilate,
-    apply,
     build_basis,
     build_physical_basis,
     hamiltonian,
@@ -371,7 +370,7 @@ class TestOperators:
         basis = build_basis(ms, ModeSet.ball(1, 1).modes, 1, 1)
         ham = hamiltonian(basis, sample_v(), sample_w())
         vec = rng(3, 0).standard_normal(basis.dimension)
-        np.testing.assert_array_equal(apply(ham, vec), ham.matrix() @ vec)
+        np.testing.assert_array_equal(ham.apply(vec), ham.matrix() @ vec)
         with pytest.raises(ValidationError):
             ham.apply(np.zeros(basis.dimension + 1))
 
