@@ -895,7 +895,7 @@ def _pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_mat
             for p_idx in parts:
                 for h_idx in holes:
                     k = _sub(modes[p_idx], modes[h_idx])
-                    coeff = v.coefficient(k)
+                    coeff = v.coeffs.get(k, 0.0)
                     if coeff == 0.0:
                         continue
                     s1, occ1 = _sign_annihilate(occupied, p_idx)

@@ -90,17 +90,31 @@ class FourierPotential:
         return float(np.sum(cs * np.cos(phases))) / FOURIER_FACTOR
 
     def grid_values(self, n: int) -> np.ndarray:
-        """Values on the uniform n^3 grid x_j = 2 pi j / n (exact, FFT-based).
+        """Values on the uniform n^3 grid x_j = 2 pi j / n, indexed [ix, iy, iz].
+
+        Exact up to round-off, by a separable transform over the only lines
+        that hold modes: the coefficients fill a (2K+1)^3 cube, K = cutoff,
+        which is contracted one axis at a time (z, then y) against the
+        (2K+1, n) phase table e^{2 pi i a j / n}; the real part of the last
+        (x) contraction is one real matmul over the stacked cosine and sine
+        rows. That costs O((2K+1) n^3) time and n^3 floats of memory, where a
+        dense n^3 inverse FFT costs O(n^3 log n) on lines that are all zero.
 
         Requires n > 2*cutoff so distinct modes stay distinct mod n.
         """
         if n <= 2 * self.cutoff:
             raise ValidationError(f"grid size {n} aliases modes with cutoff {self.cutoff}")
-        spect = np.zeros((n, n, n), dtype=complex)
+        K = self.cutoff
+        m = 2 * K + 1
+        cube = np.zeros((m, m, m))
         for (kx, ky, kz), c in self.coeffs.items():
-            spect[kx % n, ky % n, kz % n] = c
-        vals = np.fft.ifftn(spect) * n**3 / FOURIER_FACTOR
-        return np.ascontiguousarray(vals.real)
+            cube[kx + K, ky + K, kz + K] = c
+        # a*j reduced mod n keeps every phase angle in [0, 2 pi)
+        phase = np.exp((2j * math.pi / n) * (np.outer(np.arange(-K, K + 1), np.arange(n)) % n))
+        lines = phase.T @ (cube @ phase)  # [a, iy, iz]
+        rows = np.concatenate([phase.real.T, -phase.imag.T], axis=1) / FOURIER_FACTOR
+        vals = rows @ np.concatenate([lines.real, lines.imag]).reshape(2 * m, n * n)
+        return vals.reshape(n, n, n)
 
     # -- exact coefficient-side norms -------------------------------------------
     def squared_l2(self) -> float:

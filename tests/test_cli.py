@@ -561,29 +561,36 @@ def _readme_sections():
     return sections
 
 
-def _readme_commands(sh_text: str) -> list[list[str]]:
+def _readme_commands(sh_text: str) -> list[tuple[list[str], str | None]]:
+    """Each `bfmix` line as (argv, X) where the line ends in `# prints X`, else (argv, None)."""
     commands = []
     for line in sh_text.replace("\\\n", " ").splitlines():
-        line = line.split("#", 1)[0].strip()
+        line, _, comment = line.partition("#")
+        line, comment = line.strip(), comment.strip()
         if line.startswith("bfmix "):
-            commands.append(shlex.split(line)[1:])
+            prints = comment[len("prints "):] if comment.startswith("prints ") else None
+            commands.append((shlex.split(line)[1:], prints))
     return commands
 
 
-@pytest.mark.parametrize("command", ["effpot", "scatter"])
+@pytest.mark.parametrize("command", ["effpot", "scatter", "lune"])
 def test_readme_examples_run(runner, tmp_path, monkeypatch, command):
     sections = {h.split("`")[1]: blocks for h, blocks in _readme_sections().items()
                 if h.startswith("`bfmix ")}
     blocks = sections[f"bfmix {command}"]
-    (example,) = [json.loads(text) for fence, text in blocks if fence == "json"]
+    examples = [json.loads(text) for fence, text in blocks if fence == "json"]
     commands = [c for fence, text in blocks if fence == "sh" for c in _readme_commands(text)]
-    assert commands and all(c[0] == command for c in commands)
+    assert commands and all(args[0] == command for args, _ in commands)
     file_flags = {"--V", "--W", "--w", "--v", "--psi"}
     monkeypatch.chdir(tmp_path)
-    for args in commands:
+    monkeypatch.delenv("BFMIX_CACHE_DIR", raising=False)
+    for args, prints in commands:
         for flag, value in zip(args, args[1:]):
             if flag in file_flags:
+                (example,) = examples
                 with open(value, "w") as fh:
                     json.dump(example, fh)
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args, result.output)
+        if prints is not None:
+            assert result.stdout == prints + "\n", args

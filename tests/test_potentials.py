@@ -106,6 +106,85 @@ class TestEvaluation:
             random_sparse(12, cutoff=3).grid_values(6)
 
 
+def dense_grid_values(v: FourierPotential, n: int) -> np.ndarray:
+    """Oracle: the grid by a dense complex n^3 inverse FFT of the full spectrum."""
+    spect = np.zeros((n, n, n), dtype=complex)
+    for (kx, ky, kz), c in v.coeffs.items():
+        spect[kx % n, ky % n, kz % n] = c
+    vals = np.fft.ifftn(spect) * n**3 / FOURIER_FACTOR
+    return np.ascontiguousarray(vals.real)
+
+
+def full_cube(cutoff: int, seed_index: int) -> FourierPotential:
+    """Every mode of max-norm <= cutoff occupied, with random even values."""
+    gen = rng(2025, seed_index)
+    axis = range(-cutoff, cutoff + 1)
+    entries = {}
+    for k in ((x, y, z) for x in axis for y in axis for z in axis):
+        if (-k[0], -k[1], -k[2]) not in entries:
+            entries[k] = float(gen.normal())
+    return from_coefficients(list(entries.items()), cutoff)
+
+
+def effpot_warm_potential() -> FourierPotential:
+    """The benchmark's effpot potential at unit amplitude: 33 modes, |k|^2 <= 4."""
+    base = {0: 0.5, 1: 0.3, 2: 0.2, 3: 0.12, 4: 0.08}
+    axis = range(-2, 3)
+    entries = [((x, y, z), base[x * x + y * y + z * z])
+               for x in axis for y in axis for z in axis if x * x + y * y + z * z <= 4]
+    return from_coefficients(entries, cutoff=2, label="V")
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
+    def test_matches_dense_ifftn(self, cutoff):
+        v = full_cube(cutoff, cutoff)
+        for n in sorted({2 * cutoff + 1, 2 * cutoff + 2, 16, 33, 64}):
+            want = dense_grid_values(v, n)
+            got = v.grid_values(n)
+            assert got.dtype == np.float64 and got.shape == (n, n, n)
+            assert got.flags.c_contiguous
+            scale = float(np.max(np.abs(want)))
+            assert scale > 0.0
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale,
+                                       err_msg=f"cutoff {cutoff}, n {n}")
+
+    def test_axis_order(self):
+        # a single cosine along axis i varies with the i-th index only
+        n = 12
+        xs = 2.0 * math.pi * np.arange(n) / n
+        for axis in range(3):
+            mode = tuple(int(i == axis) for i in range(3))
+            grid = from_coefficients([(mode, C)], cutoff=1).grid_values(n)
+            line = np.moveaxis(grid, axis, 0)
+            expect = 2 * C * np.cos(xs) / FOURIER_FACTOR
+            np.testing.assert_allclose(
+                line, np.broadcast_to(expect[:, None, None], line.shape),
+                rtol=0.0, atol=1e-15)
+
+    def test_empty_potential_is_zero(self):
+        for cutoff, n in ((0, 1), (2, 8)):
+            grid = zero_potential(cutoff).grid_values(n)
+            assert grid.shape == (n, n, n)
+            assert not grid.any()
+
+    def test_sup_difference_grid_lower_matches_oracle(self):
+        from bfmix.lattice import resolvent_sum
+
+        v = effpot_warm_potential()
+        assert len(v.coeffs) == 33
+        kf2 = 100
+        k_fermi = math.sqrt(kf2)
+        diff = {}
+        for k, c in v.items():
+            if k != (0, 0, 0):
+                dev = resolvent_sum(1, k, kf2) / (2.0 * math.pi * k_fermi) - 1.0
+                diff[k] = FOURIER_FACTOR * c * c * dev
+        oracle = float(np.max(np.abs(dense_grid_values(FourierPotential(2, diff), 64))))
+        got = sup_difference(v, kf2, grid_n=64).grid_lower
+        assert got == pytest.approx(oracle, rel=1e-14)
+
+
 class TestConvolve:
     def test_single_mode_series(self):
         v = single_mode()
