@@ -251,15 +251,34 @@ def radial_convolution(v: RadialProfile, u: RadialProfile, n_out: int = 1025) ->
     convolution of the two interpolants; the returned profile interpolates
     them linearly.
 
-    Per radius, the three Gauss nodes are evaluated as one (3, m) array; each
-    node's row is still summed on its own and accumulated in node order, so
-    the result is bitwise that of a node-by-node loop.
+    Nested grids: when v and u share r_max and their n - 1 = N cells, and
+    the output grid nests with theirs (``2N % (n_out - 1) == 0`` or
+    ``(n_out - 1) % 2N == 0``, which holds for every self-convolution at the
+    default n_out with 9, 257, 513, 1025 or 2049 samples), every knot image
+    of every output radius lies on one fine lattice. Each s-integral is then
+    split at every lattice cell, so all radii share their Gauss nodes and
+    U is tabulated once (_nested_convolution). The samples agree with the
+    per-radius split to round-off (Gauss on finer pieces of the same
+    polynomials). At 1025 samples a self-convolution takes ~0.04 s instead
+    of ~0.5 s on a 2-vCPU host.
+
+    Other grids take the per-radius split. There the three Gauss nodes are
+    evaluated as one (3, m) array; each node's row is still summed on its
+    own and accumulated in node order, so the result is bitwise that of a
+    node-by-node loop.
     """
+    if not isinstance(n_out, (int, np.integer)) or n_out < 2:
+        raise ValidationError(f"n_out must be an integer >= 2, got {n_out!r}")
     cum = _CumulativeRU(u)
     r_total = v.r_max + u.r_max
     out_grid = np.linspace(0.0, r_total, n_out)
     out = np.empty(n_out)
     out[0] = conv_at_zero(v, u)
+    cells, steps = 2 * (v.n - 1), n_out - 1
+    if v.r_max == u.r_max and v.n == u.n and (cells % steps == 0 or steps % cells == 0):
+        acc = _nested_convolution(v, cum, steps)
+        out[1:] = 2.0 * math.pi * acc / out_grid[1:]
+        return RadialProfile(r_total, out)
     u_nodes = u.grid
     v_nodes = v.grid
     gauss_x = _GAUSS3_X[:, None]
@@ -279,6 +298,46 @@ def radial_convolution(v: RadialProfile, u: RadialProfile, n_out: int = 1025) ->
             acc += w * float(np.sum(row))
         out[i] = 2.0 * math.pi * acc / r
     return RadialProfile(r_total, out)
+
+
+_ELEMENTS = 1 << 16  # window elements per block of the nested-grid convolution
+
+
+def _nested_convolution(v: RadialProfile, cum: _CumulativeRU, steps: int) -> np.ndarray:
+    """int s v(s) [U(r+s) - U(|r-s|)] ds at the output radii 1..steps.
+
+    The caller has checked that u shares v's grid and that the output grid
+    nests with it. With M = max(2N, steps)/2 cells of width delta = R/M on
+    [0, R] and p = 2M/steps cells per output step, radius i sits on lattice
+    point i*p, so on cell j the node s = (j + theta_q) delta maps r+s to
+    cell ip+j and |r-s| to cell ip-j-1 (for j < ip) or j-ip, at offset
+    theta_q or 1 - theta_q = theta_{2-q}. One table P_q[c] = U((c + theta_q)
+    delta), c < 3M, then serves every radius: the U values of radius i are
+    a window of M entries. Windows are summed row by row in blocks of about
+    _ELEMENTS, with NumPy's pairwise sum, so no BLAS call is made.
+    """
+    lattice = max(2 * (v.n - 1), steps)
+    m, p = lattice // 2, lattice // steps
+    delta = v.r_max / m
+    theta = (0.5 * (1.0 + _GAUSS3_X))[:, None]
+    cell = np.arange(3 * m, dtype=float)
+    s = (cell[:m] + theta) * delta
+    weights = 0.5 * delta * s * v(s)
+    table = cum((cell + theta) * delta)
+    starts = p * np.arange(1, steps + 1)
+    rows = max(1, _ELEMENTS // m)
+    acc = np.zeros(steps)
+    for q, wq in enumerate(_GAUSS3_W):
+        plus = np.lib.stride_tricks.sliding_window_view(table[q], m)
+        # entry 2M + k holds U(|(k + theta_q) delta|): mirrored for k < 0
+        mirrored = np.concatenate([table[2 - q, 2 * m - 1::-1], table[q, :m]])
+        minus = np.lib.stride_tricks.sliding_window_view(mirrored, m)
+        node = np.empty(steps)
+        for b in range(0, steps, rows):
+            i = starts[b:b + rows]
+            node[b:b + rows] = ((plus[i] - minus[2 * m - i]) * weights[q]).sum(axis=1)
+        acc += wq * node
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +363,15 @@ class ScatteringLength:
 
 
 def _integrate_zero_energy(w: RadialProfile, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 for u'' = (1/2) w u, u(0)=0, u'(0)=1 on [0, R] with ``steps`` steps."""
+    """RK4 for u'' = (1/2) w u, u(0)=0, u'(0)=1 on [0, R] with ``steps`` steps.
+
+    The steps run on Python floats (the same IEEE double arithmetic as NumPy
+    scalars, at about a third of the cost per step).
+    """
     r_end = w.r_max
-    h = r_end / steps
-    half_grid = np.linspace(0.0, r_end, 2 * steps + 1)
-    w_half = w(half_grid)
-    u = np.empty(steps + 1)
-    du = np.empty(steps + 1)
-    u[0], du[0] = 0.0, 1.0
+    h = float(r_end) / steps
+    w_half = w(np.linspace(0.0, r_end, 2 * steps + 1)).tolist()
+    u, du = [0.0], [1.0]
     ui, dui = 0.0, 1.0
     for i in range(steps):
         w0, wm, w1 = w_half[2 * i], w_half[2 * i + 1], w_half[2 * i + 2]
@@ -321,8 +381,9 @@ def _integrate_zero_energy(w: RadialProfile, steps: int) -> tuple[np.ndarray, np
         k4u, k4d = dui + h * k3d, 0.5 * w1 * (ui + h * k3u)
         ui += h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
         dui += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-        u[i + 1], du[i + 1] = ui, dui
-    return np.linspace(0.0, r_end, steps + 1), u, du
+        u.append(ui)
+        du.append(dui)
+    return np.linspace(0.0, r_end, steps + 1), np.array(u), np.array(du)
 
 
 def _simpson(y: np.ndarray, h: float) -> float:

@@ -573,7 +573,7 @@ def _readme_commands(sh_text: str) -> list[tuple[list[str], str | None]]:
     return commands
 
 
-@pytest.mark.parametrize("command", ["effpot", "scatter", "lune"])
+@pytest.mark.parametrize("command", ["effpot", "scatter", "lune", "verify"])
 def test_readme_examples_run(runner, tmp_path, monkeypatch, command):
     sections = {h.split("`")[1]: blocks for h, blocks in _readme_sections().items()
                 if h.startswith("`bfmix ")}

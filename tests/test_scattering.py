@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bfmix import scattering
 from bfmix.errors import ConvergenceError, ResonanceError, ValidationError
 from bfmix.scattering import (
     _GAUSS3_W,
@@ -12,6 +13,7 @@ from bfmix.scattering import (
     CollapseScan,
     RadialProfile,
     _CumulativeRU,
+    _integrate_zero_energy,
     born_limit,
     collapse_energy,
     collapse_scan,
@@ -68,6 +70,28 @@ def _radial_convolution_loop(v: RadialProfile, u: RadialProfile, n_out: int = 10
             acc += w * float(np.sum(half * s * v(s) * (cum(r + s) - cum(np.abs(r - s)))))
         out[i] = 2.0 * math.pi * acc / r
     return RadialProfile(r_total, out)
+
+
+def _integrate_zero_energy_loop(w: RadialProfile, steps: int):
+    """Reference: the zero-energy RK4 on NumPy scalars, as first written."""
+    r_end = w.r_max
+    h = r_end / steps
+    half_grid = np.linspace(0.0, r_end, 2 * steps + 1)
+    w_half = w(half_grid)
+    u = np.empty(steps + 1)
+    du = np.empty(steps + 1)
+    u[0], du[0] = 0.0, 1.0
+    ui, dui = 0.0, 1.0
+    for i in range(steps):
+        w0, wm, w1 = w_half[2 * i], w_half[2 * i + 1], w_half[2 * i + 2]
+        k1u, k1d = dui, 0.5 * w0 * ui
+        k2u, k2d = dui + 0.5 * h * k1d, 0.5 * wm * (ui + 0.5 * h * k1u)
+        k3u, k3d = dui + 0.5 * h * k2d, 0.5 * wm * (ui + 0.5 * h * k2u)
+        k4u, k4d = dui + h * k3d, 0.5 * w1 * (ui + h * k3u)
+        ui += h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
+        dui += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
+        u[i + 1], du[i + 1] = ui, dui
+    return np.linspace(0.0, r_end, steps + 1), u, du
 
 
 def _pair_integral(rr: RadialProfile, w: RadialProfile) -> float:
@@ -153,24 +177,83 @@ class TestRadialConvolution:
         np.testing.assert_allclose(ab.values, ba.values, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("pair", [
-        "equal_grids", "r_max_4_vs_8", "ball_n65_vs_n513", "sharp_edge_inside",
+        "r_max_4_vs_8", "ball_n65_vs_n513", "sharp_edge_inside", "same_grid_not_nested",
     ])
     def test_batched_nodes_match_loop_bitwise(self, pair):
-        # Same arithmetic per element and the same per-node sums in the same
-        # order, so the batched evaluation must agree to the last bit.
-        v, u = {
-            "equal_grids": (_gaussian(0.6, 1.0, 4.0), _gaussian(0.6, 1.0, 4.0)),
-            "r_max_4_vs_8": (_gaussian(0.6, 1.0, 4.0), _gaussian(1.0, 1.5, 8.0)),
-            "ball_n65_vs_n513": (_ball(n=65), _ball(n=513)),
-            "sharp_edge_inside": (_ball(height=2.0, radius=1.5, n=129), _gaussian(0.6, 1.0, 4.0)),
+        # Grids that do not nest take the per-radius path: same arithmetic per
+        # element and the same per-node sums in the same order, so the batched
+        # evaluation must agree to the last bit.
+        v, u, n_out = {
+            "r_max_4_vs_8": (_gaussian(0.6, 1.0, 4.0), _gaussian(1.0, 1.5, 8.0), 257),
+            "ball_n65_vs_n513": (_ball(n=65), _ball(n=513), 257),
+            "sharp_edge_inside": (_ball(height=2.0, radius=1.5, n=129), _gaussian(0.6, 1.0, 4.0), 257),
+            # 2N = 2000 cells against 1024 output steps: neither divides the other
+            "same_grid_not_nested": (_gaussian(0.6, 1.0, 4.0, n=1001),
+                                     _gaussian(0.6, 1.0, 4.0, n=1001), 1025),
         }[pair]
-        got = radial_convolution(v, u, n_out=257)
-        want = _radial_convolution_loop(v, u, n_out=257)
+        got = radial_convolution(v, u, n_out=n_out)
+        want = _radial_convolution_loop(v, u, n_out=n_out)
         assert got.r_max == want.r_max
         assert np.array_equal(got.values, want.values)
 
+    @pytest.mark.parametrize("n, n_out, partner", [
+        (9, 1025, "self"), (257, 1025, "self"), (1025, 1025, "self"), (1025, 257, "self"),
+        (2049, 1025, "self"), (1024, 1024, "self"), (1025, 257, "ramp"),
+    ])
+    def test_nested_grids_match_loop(self, n, n_out, partner):
+        # Nested grids split every s-integral at each fine lattice cell instead
+        # of at each radius' own knot images: the same exact polynomial
+        # integrals on finer pieces, so the samples agree to round-off. The
+        # ramp partner tells v's role from u's and ends in a sharp edge.
+        if n == 9:  # the README's example profile
+            v = RadialProfile.from_samples(
+                4.0, [1.0, 0.895, 0.641, 0.368, 0.169, 0.062, 0.018, 0.004, 0.0])
+        else:
+            v = _gaussian(0.6, 1.0, 4.0, n=n)
+        u = v if partner == "self" else RadialProfile(v.r_max, np.linspace(1.0, -0.5, n))
+        got = radial_convolution(v, u, n_out=n_out)
+        want = _radial_convolution_loop(v, u, n_out=n_out)
+        assert got.r_max == want.r_max
+        assert np.max(np.abs(got.values - want.values)) <= 5e-14 * np.max(np.abs(want.values))
+
+    def test_nested_block_size_does_not_matter(self, monkeypatch):
+        v = _gaussian(0.6, 1.0, 4.0, n=257)
+        want = radial_convolution(v, v, n_out=1025)
+        for elements in (1, 300, 1 << 30):
+            monkeypatch.setattr(scattering, "_ELEMENTS", elements)
+            assert np.array_equal(radial_convolution(v, v, n_out=1025).values, want.values)
+
+    @pytest.mark.parametrize("n_out", [0, 1, 2.5])
+    def test_n_out_validated(self, n_out):
+        with pytest.raises(ValidationError, match="n_out"):
+            radial_convolution(_ball(n=9), _ball(n=9), n_out=n_out)
+
+    def test_two_output_samples(self):
+        out = radial_convolution(_ball(n=9), _ball(n=9), n_out=2)
+        assert out.values[0] == pytest.approx(4.0 * math.pi / 3.0, rel=1e-13)
+        assert out.values[1] == 0.0
+
 
 class TestScatteringLength:
+    @pytest.mark.parametrize("steps", [4096, 8192])
+    @pytest.mark.parametrize("case", ["step", "barrier", "gaussian_g0", "gaussian_g1.5"])
+    def test_rk4_matches_numpy_scalar_loop_bitwise(self, case, steps):
+        # Python floats and NumPy float64 scalars do the same IEEE arithmetic.
+        v = _gaussian(0.6, 1.0, 4.0)
+        w = _gaussian(1.0, 1.5, 8.0)
+        vv = radial_convolution(v, v)
+        profile = {
+            # sharp edge strictly inside the range, as combine leaves it
+            "step": combine(1.0, _ball(height=2.0), 0.0, _ball(radius=2.0)),
+            "barrier": _ball(height=2.0),
+            "gaussian_g0": combine(1.0, w, 0.0, vv, n_min=4097),
+            "gaussian_g1.5": combine(1.0, w, -2.25, vv, n_min=4097),
+        }[case]
+        got = _integrate_zero_energy(profile, steps)
+        want = _integrate_zero_energy_loop(profile, steps)
+        for g, x in zip(got, want):
+            assert np.array_equal(g, x)
+
     def test_zero_potential(self):
         assert scattering_length(RadialProfile.step(0.0, 1.0)).a == 0.0
 
