@@ -63,8 +63,7 @@ class ModeSet:
     """
 
     def __init__(self, modes, kf2: int, symmetric: bool = True):
-        if int(kf2) != kf2 or kf2 <= 0:
-            raise ValidationError("kf2 must be a positive integer")
+        kf2 = self._checked_kf2(kf2)
         mode_list = tuple(_ivec(m) for m in modes)
         if len(set(mode_list)) != len(mode_list):
             raise ValidationError("modes must be distinct")
@@ -77,8 +76,18 @@ class ModeSet:
                     raise ValidationError(
                         f"mode set is not closed under negation: missing {_neg(m)}"
                     )
+        self._fill(mode_list, kf2)
+
+    @staticmethod
+    def _checked_kf2(kf2) -> int:
+        if int(kf2) != kf2 or kf2 <= 0:
+            raise ValidationError("kf2 must be a positive integer")
+        return int(kf2)
+
+    def _fill(self, mode_list: tuple[IVec, ...], kf2: int) -> None:
+        """Set the fields from distinct, valid int tuples and a checked kf2."""
         self.modes: tuple[IVec, ...] = mode_list
-        self.kf2 = int(kf2)
+        self.kf2 = kf2
         self.inside_flags = tuple(_norm2(m) <= self.kf2 for m in mode_list)
         self._index = {m: i for i, m in enumerate(mode_list)}
         self.inside_indices = tuple(
@@ -102,7 +111,11 @@ class ModeSet:
             if x * x + y * y + z * z <= max_norm2
         ]
         modes.sort(key=lambda m: (_norm2(m), m))
-        return cls(modes, kf2)
+        # the tuples are distinct int triples closed under negation: skip
+        # the per-mode validation of __init__
+        ms = cls.__new__(cls)
+        ms._fill(tuple(modes), cls._checked_kf2(kf2))
+        return ms
 
     def __len__(self) -> int:
         return len(self.modes)

@@ -17,6 +17,12 @@ and the central objects are the resolvent-weighted lune sums
 and a fast line-sum approximation of
 ``D_alpha`` with an explicit error scale.
 
+A lune is enumerated as runs along z (``_lune_columns``), and its sums are
+taken over a histogram of its distinct denominators (``_lune_histogram``):
+d^(-alpha) is computed once per distinct d, and the multiplicity-weighted
+terms are added exactly, so every float sum is the correctly rounded sum of
+its terms over the points, and every exact sum is a sum of Fractions n/d^alpha.
+
 All functions take the squared Fermi momentum ``kf2`` (exact membership tests
 stay in integer arithmetic when ``kf2`` is an integer).
 """
@@ -26,10 +32,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,10 +160,11 @@ def _lune_columns(k: IVec, kf2, lam2=None) -> Iterable[np.ndarray]:
     |z - kz| <= rs; |p|^2 > kf2 keeps |z| >= s = isqrt(kf2 - x^2 - y^2) + 1
     (s = 0 where x^2 + y^2 > kf2), which leaves at most two intervals, and
     lam2 caps |z| <= isqrt(lam2 - x^2 - y^2). Columns are built in blocks of
-    _ROWS x rows and yielded in pieces of about _POINTS points, so the cost
-    is O(kF^2) columns plus the points, and temporaries stay small. Valid
+    _ROWS x rows and yielded in nonempty pieces of about _POINTS points, so
+    the cost is O(kF^2) columns, and temporaries stay small; a consumer that
+    counts runs (lune_count, _runs_histogram) never pays per point. Valid
     for any k; the sums pass the canonical k so the runs lie along its
-    largest component.
+    largest component, where d steps by 2 kz.
     """
     kx, ky, kz = k
     r = _isqrt_floor(kf2)
@@ -192,7 +197,8 @@ def _lune_columns(k: IVec, kf2, lam2=None) -> Iterable[np.ndarray]:
             continue
         cum = np.cumsum(runs[3])
         cuts = np.searchsorted(cum, np.arange(_POINTS, int(cum[-1]), _POINTS))
-        yield from np.split(runs, cuts, axis=1)
+        # a run longer than _POINTS repeats a cut: skip the empty pieces
+        yield from (piece for piece in np.split(runs, cuts, axis=1) if piece.shape[1])
 
 
 def _run_values(start: np.ndarray, step: int, n: np.ndarray) -> np.ndarray:
@@ -201,12 +207,61 @@ def _run_values(start: np.ndarray, step: int, n: np.ndarray) -> np.ndarray:
     return np.repeat(start, n) + step * (np.arange(int(n.sum())) - offsets)
 
 
-def _run_denominators(runs: np.ndarray, k: IVec) -> np.ndarray:
-    """Integer denominators d(p, k) = 2 p.k - |k|^2 of every point of the runs."""
+def _run_starts(runs: np.ndarray, k: IVec) -> np.ndarray:
+    """The denominator d(p, k) = 2 p.k - |k|^2 of each run's first point."""
     kx, ky, kz = k
-    x, y, z0, n = runs
-    start = 2 * (x * kx + y * ky + z0 * kz) - (kx * kx + ky * ky + kz * kz)
-    return _run_values(start, 2 * kz, n)
+    x, y, z0, _ = runs
+    return 2 * (x * kx + y * ky + z0 * kz) - (kx * kx + ky * ky + kz * kz)
+
+
+def _runs_histogram(runs: np.ndarray, k: IVec) -> tuple[np.ndarray, np.ndarray]:
+    """(d, n): the distinct denominators of one piece of runs and their counts.
+
+    Along a run d steps by 2 kz (kz >= 1 for a canonical k). Where the span
+    of d is at most the piece's point count, a difference array over that
+    span (padded to a multiple of 2 kz, so less than twice the point count)
+    takes +1 at each run's first d and -1 one step past its last, and a
+    cumulative sum with stride 2 kz (down the columns of a (rows, 2 kz)
+    view) turns it into counts without listing a point. A span narrower
+    than 2 kz holds only one-point runs and needs no padding. A wider span
+    (|k| large against the lune) would make the array larger than the
+    lune, so there the piece's denominators are listed and counted with
+    np.unique.
+    """
+    n, step = runs[3], 2 * k[2]
+    start = _run_starts(runs, k)
+    lo = int(start.min())
+    span = int((start + step * (n - 1)).max()) - lo + 1
+    if span > int(n.sum()):
+        return np.unique(_run_values(start, step, n), return_counts=True)
+    width = min(step, span)
+    size = -(-span // width) * width
+    first, past = start - lo, start - lo + step * n
+    diff = np.bincount(first, minlength=size) - np.bincount(past[past < size], minlength=size)
+    counts = diff.reshape(-1, width).cumsum(axis=0).ravel()
+    nz = np.flatnonzero(counts)
+    return nz + lo, counts[nz]
+
+
+def _merge_histograms(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Add histograms (d, n): sorted distinct d with their total counts."""
+    parts = list(parts)
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    d = np.concatenate([p[0] for p in parts])
+    n = np.concatenate([p[1] for p in parts])
+    order = np.argsort(d, kind="stable")
+    d, n = d[order], n[order]
+    first = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
+    return d[first], np.add.reduceat(n, first)
+
+
+def _lune_histogram(ck: IVec, kf2, lam2=None) -> tuple[np.ndarray, np.ndarray]:
+    """(d, n): the distinct denominators of the lune L(ck), sorted, and their
+    multiplicities, built piece by piece from the column runs of a canonical
+    nonzero ``ck`` without expanding a run into points (except where a piece
+    is sparser than its span of d; see _runs_histogram)."""
+    return _merge_histograms(_runs_histogram(runs, ck) for runs in _lune_columns(ck, kf2, lam2))
 
 
 def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
@@ -242,31 +297,58 @@ def lune_count(k: Sequence[int], kf2, lam2=None) -> int:
 # Resolvent sums
 
 
+def _exact_pieces(t: np.ndarray, n: np.ndarray) -> list[float]:
+    """Floats whose exact sum is sum_i n_i t_i, for int64 counts n >= 0.
+
+    Each finite t is split into a high half of at most 26 significant bits
+    (its significand truncated) and the exact remainder of at most 27 bits,
+    and each n into base-2^26 digits, so every piece digit * 2^(26 j) * half
+    is an exact product (Dekker, Numer. Math. 18, 224 (1971)) unless it
+    overflows. A term that is not finite passes as n * t.
+    """
+    finite = np.isfinite(t)
+    pieces = [n[~finite] * t[~finite]]
+    t, n = t[finite], n[finite]
+    # 26 + 27 bits fill the 53-bit significand of a float64 exactly
+    hi = (t.view(np.int64) & ~np.int64((1 << 27) - 1)).view(np.float64)
+    lo = t - hi
+    for j in range(0, 63, 26):
+        digit = ((n >> j) & ((1 << 26) - 1)).astype(np.float64)
+        pieces += [digit * hi * 2.0**j, digit * lo * 2.0**j]
+    return np.concatenate(pieces).tolist()
+
+
+def _histogram_sum(alpha: float, d: np.ndarray, n: np.ndarray) -> float:
+    """The correctly rounded sum of n_i copies of t_i = float(d_i)^(-alpha).
+
+    math.fsum returns the correctly rounded sum of the exact pieces of
+    n_i t_i (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)), which is the
+    fsum of every term listed one by one, bit for bit. Non-finite terms give
+    what fsum makes of them; where one n * t overflows the result is inf
+    instead of fsum's OverflowError.
+    """
+    return math.fsum(_exact_pieces(d.astype(np.float64) ** (-alpha), n))
+
+
 def _resolvent_sum_raw(alpha: float, k: IVec, kf2, lam2=None) -> tuple[float, int]:
     """(value, lune size): the correctly rounded sum of the terms d^(-alpha).
 
-    One math.fsum runs over every float term, so the value does not depend
-    on the order or grouping of the points.
+    The lune is counted as a histogram of its distinct denominators, each
+    d^(-alpha) is computed once, and _histogram_sum adds the exact pieces of
+    n * d^(-alpha), so the value is the one math.fsum gives over every term,
+    whatever the order or grouping of the points.
     """
-    ck = canonical_vector(k)
-    count = 0
-
-    def terms():
-        nonlocal count
-        for runs in _lune_columns(ck, kf2, lam2):
-            d = _run_denominators(runs, ck).astype(np.float64)
-            count += d.shape[0]
-            yield (d ** (-alpha)).tolist()
-
-    value = math.fsum(chain.from_iterable(terms()))
-    return value, count
+    d, n = _lune_histogram(canonical_vector(k), kf2, lam2)
+    return _histogram_sum(alpha, d, n), int(n.sum())
 
 
 def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fraction:
     """Exact rational D_alpha(k) for integer alpha (oracle path).
 
-    Denominators are integers, so the sum is an exact Fraction. Capped at
-    |L(k)| <= 10_000 to keep the rational arithmetic tractable.
+    Denominators are integers, so the sum over the lune's denominator
+    histogram of Fraction(n, d^alpha) is exact. Capped at |L(k)| <= 10_000
+    to keep the rational arithmetic tractable; the cap is checked piece by
+    piece, so a large lune is refused before it is counted in full.
     """
     if int(alpha) != alpha or alpha < 0:
         raise ValidationError(f"exact path requires integer alpha >= 0, got {alpha!r}")
@@ -276,16 +358,19 @@ def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fractio
     if k == (0, 0, 0):
         return Fraction(0)
     ck = canonical_vector(k)
-    counts: Counter = Counter()
-    total = 0
-    for runs in _lune_columns(ck, kf2, lam2):
-        total += int(runs[3].sum())
-        if total > EXACT_SUM_CAP:
-            raise CapacityError(
-                f"exact rational sum capped at |L| <= {EXACT_SUM_CAP}; lune has more points"
-            )
-        counts.update(_run_denominators(runs, ck).tolist())
-    return sum((Fraction(n, d**alpha) for d, n in sorted(counts.items())), Fraction(0))
+
+    def capped():
+        total = 0
+        for runs in _lune_columns(ck, kf2, lam2):
+            total += int(runs[3].sum())
+            if total > EXACT_SUM_CAP:
+                raise CapacityError(
+                    f"exact rational sum capped at |L| <= {EXACT_SUM_CAP}; lune has more points"
+                )
+            yield _runs_histogram(runs, ck)
+
+    d, n = _merge_histograms(capped())
+    return sum((Fraction(c, v**alpha) for v, c in zip(d.tolist(), n.tolist())), Fraction(0))
 
 
 class LuneSumTable:
@@ -297,7 +382,9 @@ class LuneSumTable:
     via repr so a reload is bit-exact; the algorithm tag keeps files written
     by an earlier summation, whose values differ in the last bits, from
     being read. Only untruncated sums are persisted; truncated sums (finite
-    lam2) are memoized in memory only.
+    lam2) are memoized in memory only. The denominator histogram of the most
+    recently computed lune is kept, so D_1 then D_2 of one lune enumerates
+    it once.
     """
 
     _COLUMNS = ["alpha", "kx", "ky", "kz", "kF_squared", "value", "count"]
@@ -308,6 +395,7 @@ class LuneSumTable:
             cache_dir = os.environ.get("BFMIX_CACHE_DIR") or None
         self.cache_dir = cache_dir
         self._mem: dict[tuple, tuple[float, int]] = {}
+        self._last: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -361,7 +449,11 @@ class LuneSumTable:
             if disk is not None:
                 self._mem[key] = disk
                 return disk[0]
-        value, count = _resolvent_sum_raw(float(alpha), ck, kf2, lam2)
+        lune = (ck, kf2, lam2)
+        if self._last is None or self._last[0] != lune:
+            self._last = (lune, _lune_histogram(ck, kf2, lam2))
+        d, n = self._last[1]
+        value, count = _histogram_sum(float(alpha), d, n), int(n.sum())
         self._mem[key] = (value, count)
         if lam2 is None:
             self._store(alpha, ck, kf2, value, count)

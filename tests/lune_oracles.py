@@ -3,6 +3,9 @@
 ``lune_slabs`` is the shifted-ball scan: every z-slab of k + B is built as a
 full (x, y) rectangle and masked, O(kF^3) per k. It shares no code with the
 column-interval enumerator in ``bfmix.lattice``, so the two pin each other.
+``point_resolvent_sum`` lists every point of those columns and runs one
+math.fsum over every term: the reference for the package's denominator
+histogram where the slab scan is too slow (kf2 ~ 4e4).
 ``joint_lune_sums`` is the reference for the trial-state joint sums that
 ``bfmix.spectra`` computes on its truncated mode set. ``weighted_sum`` is the
 potential-weighted aggregate of the package's own lune sums.
@@ -13,10 +16,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from bfmix.lattice import _ball_points, _check_kf2, _isqrt_floor, resolvent_sum
+from bfmix.lattice import (
+    _ball_points,
+    _check_kf2,
+    _isqrt_floor,
+    _lune_columns,
+    _run_starts,
+    _run_values,
+    canonical_vector,
+    resolvent_sum,
+)
 from bfmix.util import _ivec
 
 
@@ -72,6 +85,27 @@ def slab_resolvent_sum(alpha: float, k, kf2, lam2=None) -> tuple[float, int]:
     pts = slab_points(k, kf2, lam2)
     terms = denominators(pts, _ivec(k)).astype(np.float64) ** (-alpha)
     return math.fsum(terms.tolist()), int(pts.shape[0])
+
+
+def point_resolvent_sum(alpha: float, k, kf2, lam2=None) -> tuple[float, int]:
+    """(value, count): math.fsum over every float term d^(-alpha), point by point.
+
+    The column runs of ``bfmix.lattice`` are expanded into their denominators
+    and each term is listed; the package's histogram sums must equal this
+    bit for bit.
+    """
+    ck = canonical_vector(k)
+    count = 0
+
+    def terms():
+        nonlocal count
+        for runs in _lune_columns(ck, kf2, lam2):
+            d = _run_values(_run_starts(runs, ck), 2 * ck[2], runs[3]).astype(np.float64)
+            count += d.shape[0]
+            yield (d ** (-alpha)).tolist()
+
+    value = math.fsum(chain.from_iterable(terms()))
+    return value, count
 
 
 def slab_resolvent_sum_exact(alpha: int, k, kf2, lam2=None) -> Fraction:

@@ -134,6 +134,23 @@ class TestModeSet:
         with pytest.raises(ValidationError):
             ModeSet([], kf2=1)
 
+    def test_ball_matches_validated_construction(self):
+        # ball builds its own tuples without re-validating them; a public
+        # construction of the same modes validates and gives the same set
+        for max_norm2, kf2 in [(0, 1), (4, 1), (16, 4), (9, 25)]:
+            ball = ModeSet.ball(max_norm2, kf2)
+            ref = ModeSet(list(ball.modes), kf2)
+            for field in ("modes", "kf2", "inside_flags", "inside_indices",
+                          "outside_indices", "_index"):
+                assert getattr(ball, field) == getattr(ref, field)
+            assert all(type(c) is int for m in ball.modes for c in m)
+        for bad_kf2 in (0, -1, 1.5):
+            with pytest.raises(ValidationError):
+                ModeSet.ball(4, bad_kf2)
+        for bad in [(True, 0, 0), (1.5, 0, 0)]:
+            with pytest.raises(ValidationError):
+                ModeSet([(0, 0, 0), bad], kf2=1, symmetric=False)
+
 
 class TestBuildBasis:
     def test_two_bosons_no_pairs(self):

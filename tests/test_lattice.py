@@ -1,6 +1,8 @@
 """Lattice-sum tests: exact oracles, symmetry invariants, line-sum formula."""
 
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from bfmix.errors import CapacityError, ValidationError
 from bfmix.util import content_hash, rng
 from lune_oracles import (
     joint_lune_sums,
+    point_resolvent_sum,
     slab_points,
     slab_resolvent_sum,
     slab_resolvent_sum_exact,
@@ -176,6 +179,126 @@ class TestColumnOracle:
     def test_huge_lam2_is_no_cap(self):
         k, kf2 = (1, 2, 0), 9
         assert lat._resolvent_sum_raw(1.0, k, kf2, 1e300) == lat._resolvent_sum_raw(1.0, k, kf2)
+
+
+# The lunes of the benchmark sweep: five modes at kf2 1e2 .. 4e4.
+SWEEP_MODES = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1)]
+SWEEP_KF2 = [100, 1000, 10000, 40000]
+
+# Pieces whose span of d is at most their point count take the difference
+# array; lunes of a large |k| against kF are sparser and take np.unique.
+DENSE_CASES = [((1, 0, 0), 1, None), ((-2, 1, 3), 12, None), ((2, 0, -1), 10.75, None),
+               ((2, -1, 1), 16, 30.25), ((1, 2, 3), 200, 260), ((1, 1, 10**6), 0.5, None)]
+SPARSE_CASES = [((5, 0, 0), 4, None), ((-3, 4, 2), 3, None), ((9, -2, 1), 5, None),
+                ((0, 7, -7), 2.5, 150.5), ((10**6, 3, 7), 2, None)]
+
+
+class TestDenominatorHistogram:
+    """Sums over the lune's denominator histogram equal the sums point by point."""
+
+    @staticmethod
+    def _count_expansions(monkeypatch):
+        calls = []
+        run_values = lat._run_values
+
+        def counted(*args):
+            calls.append(1)
+            return run_values(*args)
+
+        monkeypatch.setattr(lat, "_run_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("k, kf2, lam2", DENSE_CASES)
+    def test_difference_array_branch_bitwise(self, k, kf2, lam2, monkeypatch):
+        calls = self._count_expansions(monkeypatch)
+        for alpha in (1.0, 2.0, 0.5):
+            got = lat._resolvent_sum_raw(alpha, k, lat._check_kf2(kf2), lam2)
+            assert got == slab_resolvent_sum(alpha, k, kf2, lam2)
+        assert not calls
+
+    @pytest.mark.parametrize("k, kf2, lam2", SPARSE_CASES)
+    def test_unique_branch_bitwise(self, k, kf2, lam2, monkeypatch):
+        calls = self._count_expansions(monkeypatch)
+        for alpha in (1.0, 2.0, 0.5):
+            got = lat._resolvent_sum_raw(alpha, k, lat._check_kf2(kf2), lam2)
+            assert got == slab_resolvent_sum(alpha, k, kf2, lam2)
+        assert calls
+
+    def test_histogram_counts_the_lune(self):
+        for k, kf2, lam2 in DENSE_CASES + SPARSE_CASES:
+            pts = slab_points(k, kf2, lam2)
+            ck = lat.canonical_vector(k)
+            kx, ky, kz = k
+            d_ref = 2 * (pts[:, 0] * kx + pts[:, 1] * ky + pts[:, 2] * kz) - (kx * kx + ky * ky + kz * kz)
+            d, n = lat._lune_histogram(ck, lat._check_kf2(kf2), lam2)
+            assert dict(zip(d.tolist(), n.tolist())) == Counter(d_ref.tolist())
+            assert d.tolist() == sorted(set(d_ref.tolist()))
+
+    @pytest.mark.parametrize("kf2", SWEEP_KF2)
+    def test_sweep_lunes_match_point_sums(self, kf2):
+        for k in SWEEP_MODES:
+            for alpha in (1.0, 2.0):
+                assert lat._resolvent_sum_raw(alpha, k, kf2) == point_resolvent_sum(alpha, k, kf2)
+
+    def test_no_point_is_expanded_on_the_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a run was expanded into points")
+
+        monkeypatch.setattr(lat, "_run_values", refuse)
+        for kf2 in SWEEP_KF2:
+            for k in SWEEP_MODES:
+                lat._resolvent_sum_raw(1.0, k, kf2)
+
+    @pytest.mark.parametrize("k, kf2, size", [((10**6, 3, 7), 2, 19), ((1, 1, 10**6), 0.5, 1)])
+    def test_huge_k_memory_is_bounded_by_the_lune(self, k, kf2, size):
+        # d spans ~4e6 values over 19 points, and the stride 2 kz is 2e6 for
+        # the single point: a dense array over either would take tens of MB
+        tracemalloc.start()
+        try:
+            got = lat._resolvent_sum_raw(1.0, k, kf2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == slab_resolvent_sum(1.0, k, kf2) and got[1] == size
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_large_multiplicities_stay_exact(self, alpha):
+        # n >= 2^26 needs more than one base-2^26 digit for n * half to be exact
+        d = np.array([1, 2, 3, 7, 10, 999_983, 2**40 + 1], dtype=np.int64)
+        n = np.array([2**26, 2**26 + 1, 3 * 2**26 + 12_345, 2**40 + 5, 1, 2**52 + 3,
+                      2**62 + 2**30 + 7], dtype=np.int64)
+        t = (d.astype(np.float64) ** (-alpha)).tolist()
+        exact = sum((c * Fraction(v) for c, v in zip(n.tolist(), t)), Fraction(0))
+        assert lat._histogram_sum(alpha, d, n) == float(exact)
+
+    def test_pieces_are_exact(self):
+        # digits near 2^26 and terms with full 53-bit significands: a piece
+        # that rounds would change the exact sum
+        gen = rng(2024, 4)
+        n = np.array([1, 2**26 - 1, 2**26, 2**52 - 1, 2**63 - 1, 123_456_789_012_345_678]
+                     + gen.integers(1, 2**62, size=30).tolist(), dtype=np.int64)
+        d = gen.integers(1, 10**9, size=n.shape[0])
+        for alpha in (0.5, 1.0, 1.5, 2.0, 3.0, 7.25):
+            t = d.astype(np.float64) ** (-alpha)
+            pieces = lat._exact_pieces(t, n)
+            exact = sum((c * Fraction(v) for c, v in zip(n.tolist(), t.tolist())), Fraction(0))
+            assert sum(map(Fraction, pieces), Fraction(0)) == exact
+
+    def test_non_finite_terms_as_fsum(self):
+        d = np.array([1, 2, 5], dtype=np.int64)
+        n = np.array([3, 2**30, 1], dtype=np.int64)
+        with np.errstate(over="ignore"):
+            assert lat._histogram_sum(-2000.0, d, n) == math.inf
+        assert math.isnan(lat._histogram_sum(math.nan, d, n))
+        assert lat._histogram_sum(1.0, d[:0], n[:0]) == 0.0
+
+    def test_parent_values_are_kept(self):
+        # cache files are tagged with LuneSumTable._ALGORITHM; a change that
+        # moves one of these bits must bump the tag as well
+        assert lat.LuneSumTable._ALGORITHM == "columns-fsum"
+        assert lat._resolvent_sum_raw(1.0, (2, 1, 1), 40002) == (632.4652768617482, 307845)
+        assert lat._resolvent_sum_raw(2.0, (1, 1, 1), 10003) == (10.465199045172497, 54445)
 
 
 class TestResolventSum:
@@ -350,3 +473,21 @@ class TestAsymptoticsReport:
     def test_rejects_zero_k(self):
         with pytest.raises(ValidationError):
             lat.asymptotics_report([(0, 0, 0)], [4])
+
+    def test_each_lune_is_enumerated_once(self, monkeypatch):
+        # D1 and D2 of one (k, kf2) share the table's denominator histogram
+        calls = Counter()
+        columns = lat._lune_columns
+
+        def counted(k, kf2, lam2=None):
+            calls[(k, kf2, lam2)] += 1
+            return columns(k, kf2, lam2)
+
+        monkeypatch.setattr(lat, "_lune_columns", counted)
+        k_list, kf2_list = [(1, 0, 0), (2, -1, 1), (3, 0, 0)], [1, 4, 100]
+        rows = lat.asymptotics_report(k_list, kf2_list, table=lat.LuneSumTable())
+        assert sum(r["regime"] == "bulk" for r in rows) == 7
+        assert sorted(calls) == sorted(
+            (lat.canonical_vector(k), kf2, None) for k in k_list for kf2 in kf2_list
+        )
+        assert set(calls.values()) == {1}
