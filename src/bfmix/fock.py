@@ -19,6 +19,10 @@ Conventions shared with :mod:`bfmix.potentials`:
 * Every operator is real.  Pair creation and pair annihilation are exact
   transposes of each other; all Hamiltonians are symmetric.
 
+Pair operators cost O(nnz) array work per pair level to assemble; the
+per-transition generators they replaced are the oracle in
+``tests/fock_oracles.py``.
+
 Operator kinds
 --------------
 ``boson_kinetic``          kinetic energy of the bosons (diagonal)
@@ -42,6 +46,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,6 +101,14 @@ class ModeSet:
         self.outside_indices = tuple(
             i for i, f in enumerate(self.inside_flags) if not f
         )
+        self._nbr: dict = {}
+
+    def _neighbours(self, k: IVec) -> np.ndarray:
+        """Index of ``modes[i] + k`` for every ``i``; -1 where it leaves the set."""
+        if k not in self._nbr:
+            get, (kx, ky, kz) = self._index.get, k
+            self._nbr[k] = np.array([get((x + kx, y + ky, z + kz), -1) for x, y, z in self])
+        return self._nbr[k]
 
     @classmethod
     def ball(cls, max_norm2, kf2: int) -> "ModeSet":
@@ -198,34 +211,15 @@ class _BosonSpace:
         self.modes = modes
         self.n = n
         d = len(modes)
-        configs: list[tuple[int, ...]] = []
-        if n == 0:
-            configs.append((0,) * d)
-        else:
-            for combo in itertools.combinations_with_replacement(range(d), n):
-                occ = [0] * d
-                for i in combo:
-                    occ[i] += 1
-                configs.append(tuple(occ))
+        combos = itertools.combinations_with_replacement(range(d), n)
+        configs = [tuple(map(combo.count, range(d))) for combo in combos]
         self.configs = configs
         self.index = {occ: i for i, occ in enumerate(configs)}
         self._mode_index = {m: i for i, m in enumerate(modes)}
-        self.momenta: list[IVec] = []
-        kinetic = []
-        for occ in configs:
-            mom = (0, 0, 0)
-            kin = 0
-            for i, cnt in enumerate(occ):
-                if cnt:
-                    mom = (
-                        mom[0] + cnt * modes[i][0],
-                        mom[1] + cnt * modes[i][1],
-                        mom[2] + cnt * modes[i][2],
-                    )
-                    kin += cnt * _norm2(modes[i])
-            self.momenta.append(mom)
-            kinetic.append(float(kin))
-        self.kinetic = np.array(kinetic)
+        occ = np.array(configs, dtype=np.int64).reshape(len(configs), d)
+        vecs = np.array(modes, dtype=np.int64).reshape(d, 3)
+        self.momenta: list[IVec] = [tuple(m) for m in (occ @ vecs).tolist()]
+        self.kinetic = (occ @ (vecs * vecs).sum(axis=1)).astype(float)
         self._shift_cache: dict[IVec, list[tuple[int, int, float]]] = {}
 
     def shift_entries(self, m: IVec) -> list[tuple[int, int, float]]:
@@ -253,18 +247,44 @@ class _BosonSpace:
         return entries
 
 
-def _combos_by_momentum(indices, modes, count: int) -> dict:
-    """``count``-subsets of ``indices`` grouped by total momentum.
+def _combinations(indices, count: int) -> np.ndarray:
+    """``count``-subsets of ``indices`` as rows, in itertools order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(indices, count))
+    return np.fromiter(flat, np.int64).reshape(math.comb(len(indices), count), count)
 
-    Each group keeps ``itertools.combinations`` order.
-    """
-    groups: dict[IVec, list[tuple[int, ...]]] = {}
-    for combo in itertools.combinations(indices, count):
-        mom = _ZERO
-        for i in combo:
-            mom = _add(mom, modes[i])
-        groups.setdefault(mom, []).append(combo)
-    return groups
+
+def _exc_keys(parts: np.ndarray, holes: np.ndarray, base: int) -> np.ndarray:
+    """Rows ``(parts, holes)`` read as base-``base`` numbers: in tuple order."""
+    key = np.zeros(len(parts), dtype=np.int64)
+    for col in np.hstack([parts, holes]).T:
+        key = key * base + col
+    return key
+
+
+def _ladder_sign(occ: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row, the fermion sign of ladder operators at ``x`` then ``y`` on
+    the occupied ``occ``: -1 to the count below each, plus ``x < y``."""
+    return (-1) ** ((occ < x[:, None]).sum(1) + (occ < y[:, None]).sum(1) + (x < y))
+
+
+@dataclass(frozen=True)
+class _Level:
+    """A pair level's ``(n, p)`` part and hole indices, their sorted keys in
+    ``base``, and the index of its first block."""
+
+    first: int
+    parts: np.ndarray
+    holes: np.ndarray
+    keys: np.ndarray
+    base: int
+
+    def find(self, parts, holes) -> np.ndarray:
+        """Block index of each row ``(parts, holes)``; -1 where absent."""
+        key = _exc_keys(parts, holes, self.base)
+        if not len(self.keys):
+            return np.full(len(key), -1)
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return np.where(self.keys[pos] == key, self.first + pos, -1)
 
 
 def _sign_create(occ: tuple[int, ...], j: int):
@@ -332,14 +352,18 @@ class FockBasis:
             for b, mom in enumerate(self._boson.momenta):
                 classes.setdefault(mom, []).append(b)
             self._classes = classes
-        self._class_pos = {
-            key: {b: p for p, b in enumerate(members)}
-            for key, members in self._classes.items()
-        }
+        # the class of each configuration and its position there
+        self._bcid = np.empty(len(self._boson.configs), dtype=np.int64)
+        self._bpos = np.empty_like(self._bcid)
+        for c, members in enumerate(self._classes.values()):
+            self._bcid[members], self._bpos[members] = c, np.arange(len(members))
 
-        modes = mode_set.modes
+        modes = np.array(mode_set.modes, dtype=np.int64)
         outside = mode_set.outside_indices
         inside = mode_set.inside_indices
+        self._class_id = {key: c for c, key in enumerate(self._classes)}
+        self._sizes = np.array([len(m) for m in self._classes.values()])
+        top = min(self.max_pairs, len(outside), len(inside))
 
         # Dimension first, from counts alone, so the cap is checked before
         # any state list is built.
@@ -349,85 +373,78 @@ class FockBasis:
                 for p in range(self.max_pairs + 1)
             )
         else:
-            # The block of (parts, holes) holds the boson class
-            # Q = sector - sum(parts) + sum(holes), so the particles that
-            # pair with given holes and class have a fixed total momentum.
-            by_count = [
-                (
-                    _combos_by_momentum(outside, modes, p),
-                    _combos_by_momentum(inside, modes, p),
-                )
-                for p in range(self.max_pairs + 1)
-            ]
-            total = sum(
-                len(part_groups.get(
-                    _sub(_add(self.momentum_sector, h_mom), key), ()
-                )) * len(h_combos) * len(members)
-                for part_groups, hole_groups in by_count
-                for h_mom, h_combos in hole_groups.items()
-                for key, members in self._classes.items()
-            )
+            matches = [self._match(modes, p) for p in range(top + 1)]
+            total = sum(int(((hi - lo) * self._sizes).sum()) for *_, lo, hi in matches)
         if total > max_dimension:
             raise CapacityError(
                 f"basis dimension {total} exceeds the cap {max_dimension}"
             )
+        if len(modes) ** (2 * top) > 2**63:
+            raise CapacityError(f"keys of {top} pairs on {len(modes)} modes overflow int64")
         self.dimension = total
+        if self.momentum_sector is None:  # one class: all momenta match
+            matches = [self._match(0 * modes, p) for p in range(top + 1)]
 
-        # Excitation blocks in (pair count, particles, holes) order, which
-        # is itertools.combinations order over the ascending index lists.
-        blocks: list = []
-        if self.momentum_sector is None:
-            for p in range(self.max_pairs + 1):
-                for parts in itertools.combinations(outside, p):
-                    for holes in itertools.combinations(inside, p):
-                        blocks.append((parts, holes, None))
-        else:
-            for part_groups, hole_groups in by_count:
-                level = []
-                for h_mom, h_combos in hole_groups.items():
-                    target = _add(self.momentum_sector, h_mom)
-                    for key in self._classes:
-                        for parts in part_groups.get(_sub(target, key), ()):
-                            level.extend((parts, holes, key) for holes in h_combos)
-                level.sort()  # (parts, holes) is unique within a level
-                blocks.extend(level)
-
-        exc_configs = [(parts, holes) for parts, holes, _ in blocks]
-        block_class = [key for _, _, key in blocks]
-        block_start: list[int] = []
-        offset = 0
-        for key in block_class:
-            block_start.append(offset)
-            offset += len(self._classes[key])
-        self._exc = exc_configs
-        self._exc_index = {cfg: e for e, cfg in enumerate(exc_configs)}
-        self._block_class = block_class
-        self._block_start = block_start
-        self._t_diag = np.array(
-            [
-                float(
-                    sum(_norm2(modes[i]) for i in parts)
-                    - sum(_norm2(modes[i]) for i in holes)
-                )
-                for parts, holes in exc_configs
-            ]
+        # Excitation blocks in (pair count, particles, holes) order: per
+        # level, expand the matched (part, hole, class) rows, sort by key.
+        levels: list[_Level] = []
+        cids = []
+        for parts, holes, order, lo, hi in matches:
+            n = (hi - lo).ravel()
+            cell = np.repeat(np.arange(n.size), n)
+            row = order[lo.ravel()[cell] + np.arange(cell.size) - (np.cumsum(n) - n)[cell]]
+            h_row, cid = np.divmod(cell, lo.shape[1])
+            parts, holes = parts[row], holes[h_row]
+            keys = _exc_keys(parts, holes, len(modes))
+            srt = np.argsort(keys, kind="stable")
+            first = levels[-1].first + len(levels[-1].keys) if levels else 0
+            levels.append(_Level(first, parts[srt], holes[srt], keys[srt], len(modes)))
+            cids.append(cid[srt])
+        self._levels = levels
+        self._cid = np.concatenate(cids)
+        sizes = self._sizes[self._cid]
+        self._starts = np.cumsum(sizes) - sizes
+        keys = list(self._classes)
+        self._block_class = [keys[c] for c in self._cid.tolist()]
+        self._block_start = self._starts.tolist()
+        n2 = (modes * modes).sum(axis=1)
+        self._t_diag = np.concatenate(
+            [(n2[v.parts].sum(1) - n2[v.holes].sum(1)).astype(float) for v in levels]
         )
-        self._pair_count = np.array(
-            [len(parts) for parts, _ in exc_configs], dtype=int
-        )
-        self._state_index: dict[tuple[int, int], int] | None = None
+        self._pair_count = np.concatenate([np.full(len(v.keys), p) for p, v in enumerate(levels)])
         self._shift_block_cache: dict = {}
 
-    # -- lookup ---------------------------------------------------------
-    def _ensure_state_index(self):
-        if self._state_index is None:
-            table = {}
-            for e, key in enumerate(self._block_class):
-                start = self._block_start[e]
-                for pos, b in enumerate(self._classes[key]):
-                    table[(b, e)] = start + pos
-            self._state_index = table
+    def _match(self, modes: np.ndarray, p: int) -> tuple:
+        """Part rows, hole rows, part order by momentum, and per (hole row,
+        class Q) the range [lo, hi) of that order with momentum
+        sector + sum(holes) - Q, so that block (parts, holes) holds Q."""
+        parts = _combinations(self.mode_set.outside_indices, p)
+        holes = _combinations(self.mode_set.inside_indices, p)
+        qs = np.array([key or _ZERO for key in self._classes], dtype=np.int64)
+        want = np.add(self.momentum_sector or _ZERO, modes[holes].sum(1))[:, None] - qs
+        # number the distinct momenta in lexicographic order
+        moms = np.concatenate([modes[parts].sum(axis=1), want.reshape(-1, 3)])
+        srt = np.lexsort(moms.T[::-1])
+        step = np.ones(len(srt), dtype=np.int64)
+        step[1:] = (np.diff(moms[srt], axis=0) != 0).any(axis=1)
+        codes = np.empty_like(step)
+        codes[srt] = np.cumsum(step)
+        have, want = codes[: len(parts)], codes[len(parts) :].reshape(len(holes), -1)
+        order = np.argsort(have, kind="stable")
+        have = have[order]
+        return parts, holes, order, have.searchsorted(want), have.searchsorted(want, "right")
 
+    @cached_property
+    def _exc(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The ``(parts, holes)`` index tuples of the blocks."""
+        t = [(map(tuple, v.parts.tolist()), map(tuple, v.holes.tolist())) for v in self._levels]
+        return [cfg for pair in t for cfg in zip(*pair)]
+
+    @cached_property
+    def _exc_index(self) -> dict:
+        return dict(zip(self._exc, range(len(self._exc))))
+
+    # -- lookup ---------------------------------------------------------
     def state_at(self, i: int) -> tuple[BosonConfig, ExcitationConfig]:
         if not 0 <= i < self.dimension:
             raise ValidationError("state index out of range")
@@ -444,14 +461,13 @@ class FockBasis:
         )
 
     def index_of(self, boson: BosonConfig, excitation: ExcitationConfig) -> int:
-        self._ensure_state_index()
         b = self._boson.index.get(tuple(boson.occupations))
         parts = tuple(sorted(self.mode_set.index_of(m) for m in excitation.particles))
         holes = tuple(sorted(self.mode_set.index_of(m) for m in excitation.holes))
         e = self._exc_index.get((parts, holes))
-        if b is None or e is None or (b, e) not in self._state_index:
+        if b is None or e is None or self._bcid[b] != self._cid[e]:
             raise ValidationError("state is not part of this basis")
-        return self._state_index[(b, e)]
+        return self._block_start[e] + int(self._bpos[b])
 
     @property
     def states(self) -> list[tuple[BosonConfig, ExcitationConfig]]:
@@ -462,10 +478,8 @@ class FockBasis:
         return len(self._boson.configs)
 
     def metadata(self) -> dict:
-        hist: dict[str, int] = {}
-        for e, key in enumerate(self._block_class):
-            p = int(self._pair_count[e])
-            hist[str(p)] = hist.get(str(p), 0) + len(self._classes[key])
+        counts = np.bincount(self._pair_count, self._sizes[self._cid])
+        hist = {str(p): int(n) for p, n in enumerate(counts) if n}
         return {
             "dimension": self.dimension,
             "n_bosons": self.n_bosons,
@@ -488,21 +502,15 @@ class FockBasis:
         positions local to the respective classes.  With no sector restriction
         the single class ``None`` holds every entry.
         """
-        buckets: dict = {}
-        for t, f, v in entries:
-            key = None if self.momentum_sector is None else self._boson.momenta[f]
-            buckets.setdefault(key, []).append((t, f, v))
-        grouped: dict = {}
-        for key, items in buckets.items():
+        if not entries:
+            return {}
+        to, src, vals = map(np.array, zip(*entries))
+        grouped = {}
+        for c, key in enumerate(self._classes):
             to_key = None if key is None else _sub(key, m)
-            to_pos = self._class_pos.get(to_key)
-            if to_pos is None:
-                continue
-            from_pos = self._class_pos[key]
-            to_idx = np.array([to_pos[t] for t, _, _ in items], dtype=np.int64)
-            from_idx = np.array([from_pos[f] for _, f, _ in items], dtype=np.int64)
-            vals = np.array([v for _, _, v in items])
-            grouped[key] = (to_idx, from_idx, vals, to_key)
+            sel = self._bcid[src] == c
+            if to_key in self._class_id and sel.any():
+                grouped[key] = (self._bpos[to[sel]], self._bpos[src[sel]], vals[sel], to_key)
         return grouped
 
     def _shift_blocks(self, m: IVec) -> dict:
@@ -769,15 +777,12 @@ def _expand_diag(basis: FockBasis, per_exc: np.ndarray | None,
                  per_boson: np.ndarray | None) -> np.ndarray:
     """Expand per-excitation and/or per-boson diagonals to the full basis."""
     diag = np.zeros(basis.dimension)
-    for e, key in enumerate(basis._block_class):
-        start = basis._block_start[e]
-        members = basis._classes[key]
-        block = np.zeros(len(members))
-        if per_exc is not None:
-            block += per_exc[e]
-        if per_boson is not None:
-            block += per_boson[np.asarray(members, dtype=np.int64)]
-        diag[start : start + len(members)] = block
+    if per_exc is not None:
+        diag += np.repeat(per_exc, basis._sizes[basis._cid])
+    if per_boson is not None:
+        for c, members in enumerate(basis._classes.values()):
+            at = basis._starts[basis._cid == c, None] + np.arange(len(members))
+            diag[at] += per_boson[members]
     return diag
 
 
@@ -821,25 +826,26 @@ def _boson_interaction_local(bspace: _BosonSpace, w: FourierPotential):
 def _coupling_blocks(basis: FockBasis, transitions) -> sp.csr_matrix:
     """Assemble coupling entries from excitation transitions.
 
-    ``transitions`` yields ``(e_to, e_from, sign, blocks)``: the fermionic
-    matrix element ``sign`` between excitation configurations combined with
-    a boson operator grouped by :meth:`FockBasis._class_blocks`.
+    ``transitions`` yields ``(e_to, e_from, sign, blocks)``: arrays of
+    target blocks (-1: none), source blocks and fermionic matrix elements
+    with a boson operator grouped by :meth:`FockBasis._class_blocks`.
     """
     dim = basis.dimension
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for e_to, e_from, sign, blocks in transitions:
-        key_from = basis._block_class[e_from]
-        if key_from not in blocks:
-            continue
-        to_pos, from_pos, vals, to_key = blocks[key_from]
-        if basis.momentum_sector is not None and to_key != basis._block_class[e_to]:
-            # The boson shift leaves the sector; no matrix elements.
-            continue
-        rows.append(to_pos + basis._block_start[e_to])
-        cols.append(from_pos + basis._block_start[e_from])
-        data.append(sign * vals)
+        hit = e_to >= 0
+        e_to, e_from, sign = e_to[hit], e_from[hit], sign[hit]
+        for key, (to_pos, from_pos, vals, to_key) in blocks.items():
+            # A boson shift that leaves the target's class has no elements.
+            sel = (basis._cid[e_from] == basis._class_id[key]) & (
+                basis._cid[e_to] == basis._class_id[to_key]
+            )
+            if sel.any():
+                rows.append((basis._starts[e_to[sel], None] + to_pos).ravel())
+                cols.append((basis._starts[e_from[sel], None] + from_pos).ravel())
+                data.append((sign[sel, None] * vals).ravel())
     if not rows:
         return sp.csr_matrix((dim, dim))
     mat = sp.coo_matrix(
@@ -858,39 +864,25 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     (hard truncation).
     """
     ms = basis.mode_set
-    modes = ms.modes
-    vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
+    inside = np.array(ms.inside_flags)
+    holes_all = np.array(ms.inside_indices, dtype=np.int64)
 
     def transitions():
-        for e_from, (parts, holes) in enumerate(basis._exc):
-            if basis._pair_count[e_from] >= basis.max_pairs:
-                continue
-            occupied = tuple(sorted(parts + holes))
-            for h_idx in ms.inside_indices:
-                if h_idx in holes:
+        for lev, nxt in zip(basis._levels, basis._levels[1:]):
+            for k, coeff in v.items():
+                if k == _ZERO:
                     continue
-                h_mode = modes[h_idx]
-                for k, coeff in vmodes:
-                    p_mode = _add(h_mode, k)
-                    p_idx = ms._index.get(p_mode)
-                    if p_idx is None or ms.inside_flags[p_idx] or p_idx in parts:
-                        continue
-                    step1 = _sign_create(occupied, h_idx)
-                    if step1 is None:
-                        continue
-                    s1, occ1 = step1
-                    step2 = _sign_create(occ1, p_idx)
-                    if step2 is None:
-                        continue
-                    s2, _ = step2
-                    target = (
-                        tuple(sorted(parts + (p_idx,))),
-                        tuple(sorted(holes + (h_idx,))),
-                    )
-                    e_to = basis._exc_index.get(target)
-                    if e_to is None:
-                        continue
-                    yield e_to, e_from, coeff * s1 * s2, basis._shift_blocks(k)
+                p = ms._neighbours(k)[holes_all]
+                fits = (p >= 0) & ~inside[p]
+                h, p = holes_all[fits], p[fits]
+                # every (block, pair) whose two modes are both empty
+                b, c = np.nonzero(~(lev.holes[:, :, None] == h).any(1)
+                                  & ~(lev.parts[:, :, None] == p).any(1))
+                parts, holes, h, p = lev.parts[b], lev.holes[b], h[c], p[c]
+                e_to = nxt.find(np.sort(np.column_stack([parts, p]), 1),
+                                np.sort(np.column_stack([holes, h]), 1))
+                sign = _ladder_sign(np.hstack([parts, holes]), h, p)
+                yield e_to, lev.first + b, coeff * sign, basis._shift_blocks(k)
 
     return _coupling_blocks(basis, transitions())
 
@@ -898,29 +890,19 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
 def _pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     """One-pair annihilation: Σ_k V̂(k) S_{-k} ⊗ Σ_{p-h=k} a_h a_p."""
     ms = basis.mode_set
-    modes = ms.modes
 
     def transitions():
-        for e_from, (parts, holes) in enumerate(basis._exc):
-            if not parts:
-                continue
-            occupied = tuple(sorted(parts + holes))
-            for p_idx in parts:
-                for h_idx in holes:
-                    k = _sub(modes[p_idx], modes[h_idx])
-                    coeff = v.coeffs.get(k, 0.0)
-                    if coeff == 0.0:
-                        continue
-                    s1, occ1 = _sign_annihilate(occupied, p_idx)
-                    s2, _ = _sign_annihilate(occ1, h_idx)
-                    target = (
-                        tuple(i for i in parts if i != p_idx),
-                        tuple(i for i in holes if i != h_idx),
-                    )
-                    e_to = basis._exc_index.get(target)
-                    if e_to is None:
-                        continue
-                    yield e_to, e_from, coeff * s1 * s2, basis._shift_blocks(_neg(k))
+        for prev, lev in zip(basis._levels, basis._levels[1:]):
+            for k, coeff in v.items():
+                if k == _ZERO or coeff == 0.0:
+                    continue
+                nbr = ms._neighbours(k)
+                for a, b in itertools.product(range(lev.parts.shape[1]), repeat=2):
+                    r = np.flatnonzero(nbr[lev.holes[:, b]] == lev.parts[:, a])
+                    parts, holes = lev.parts[r], lev.holes[r]
+                    e_to = prev.find(np.delete(parts, a, 1), np.delete(holes, b, 1))
+                    sign = _ladder_sign(np.hstack([parts, holes]), parts[:, a], holes[:, b])
+                    yield e_to, lev.first + r, coeff * sign, basis._shift_blocks(_neg(k))
 
     return _coupling_blocks(basis, transitions())
 
@@ -933,56 +915,28 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
     zero-charge basis, so they are skipped.
     """
     ms = basis.mode_set
-    modes = ms.modes
-    vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
+    inside = np.array(ms.inside_flags)
 
     def transitions():
-        for e_from, (parts, holes) in enumerate(basis._exc):
-            if not parts:
-                continue
-            occupied = tuple(sorted(parts + holes))
-            # Particle hop j -> j + delta (b*_l b_j with l = j + delta).
-            for j_idx in parts:
-                for delta, coeff in vmodes:
-                    l_mode = _add(modes[j_idx], delta)
-                    l_idx = ms._index.get(l_mode)
-                    if l_idx is None or ms.inside_flags[l_idx]:
-                        continue
-                    step1 = _sign_annihilate(occupied, j_idx)
-                    s1, occ1 = step1
-                    step2 = _sign_create(occ1, l_idx)
-                    if step2 is None:
-                        continue
-                    s2, _ = step2
-                    target = (
-                        tuple(sorted([i for i in parts if i != j_idx] + [l_idx])),
-                        holes,
-                    )
-                    e_to = basis._exc_index.get(target)
-                    if e_to is None:
-                        continue
-                    yield e_to, e_from, coeff * s1 * s2, basis._shift_blocks(delta)
-            # Hole hop l -> l - delta (−c*_j c_l with j = l − delta).
-            for l_idx in holes:
-                for delta, coeff in vmodes:
-                    j_mode = _sub(modes[l_idx], delta)
-                    j_idx = ms._index.get(j_mode)
-                    if j_idx is None or not ms.inside_flags[j_idx]:
-                        continue
-                    step1 = _sign_annihilate(occupied, l_idx)
-                    s1, occ1 = step1
-                    step2 = _sign_create(occ1, j_idx)
-                    if step2 is None:
-                        continue
-                    s2, _ = step2
-                    target = (
-                        parts,
-                        tuple(sorted([i for i in holes if i != l_idx] + [j_idx])),
-                    )
-                    e_to = basis._exc_index.get(target)
-                    if e_to is None:
-                        continue
-                    yield e_to, e_from, -coeff * s1 * s2, basis._shift_blocks(delta)
+        for lev in basis._levels[1:]:
+            occ = np.hstack([lev.parts, lev.holes])
+            for delta, coeff in v.items():
+                if delta == _ZERO:
+                    continue
+                for c, hole in itertools.product(range(lev.parts.shape[1]), (False, True)):
+                    # a particle hops to j + delta outside, a hole to l - delta
+                    # inside; the target mode must be empty
+                    moving = lev.holes if hole else lev.parts
+                    to = ms._neighbours(_neg(delta) if hole else delta)[moving[:, c]]
+                    r = np.flatnonzero((to >= 0) & (inside[to] == hole)
+                                       & ~(moving == to[:, None]).any(1))
+                    new = moving[r].copy()
+                    new[:, c] = to[r]
+                    new.sort(axis=1)
+                    e_to = lev.find(lev.parts[r], new) if hole else lev.find(new, lev.holes[r])
+                    sign = _ladder_sign(occ[r], moving[r, c], to[r])
+                    yield (e_to, lev.first + r, (-coeff if hole else coeff) * sign,
+                           basis._shift_blocks(delta))
 
     return _coupling_blocks(basis, transitions())
 
@@ -1140,9 +1094,8 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
         blocks = basis._class_blocks(
             _boson_interaction_local(basis._boson, op.w), _ZERO
         )
-        mat = _coupling_blocks(
-            basis, ((e, e, 1.0, blocks) for e in range(len(basis._exc)))
-        )
+        e = np.arange(len(basis._cid))
+        mat = _coupling_blocks(basis, [(e, e, np.ones(len(e)), blocks)])
         if const:
             mat = (mat + const * sp.identity(basis.dimension, format="csr")).tocsr()
         return mat

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -477,6 +479,38 @@ def test_spectrum_rerun_byte_identical_files(runner, fourier_files, tmp_path):
             assert fh.read() == blob
 
 
+def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The kf2 144 row (10,103 states) came out with different last bits
+    # under one and two OpenBLAS threads; the bfmix entry point pins BLAS
+    # to one thread, so unset, 1 and 2 give the same compare.json.  The
+    # entry point runs here as ``python -m bfmix``.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    outputs = []
+    for threads in (None, "1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        save_fourier(from_coefficients({(1, 0, 0): 0.3}, cutoff=1), str(run_dir / "v.json"))
+        save_fourier(from_coefficients({(0, 0, 0): 0.6, (1, 0, 0): 0.2}, cutoff=1),
+                     str(run_dir / "w.json"))
+        (run_dir / "cfg.json").write_text(json.dumps({
+            "v": "v.json", "w": "w.json", "n_bosons": 2, "max_pairs": 1,
+            "kf2_list": [144], "output_dir": "out",
+        }))
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run(
+            [sys.executable, "-m", "bfmix", "spectrum", "--config", "cfg.json"],
+            cwd=run_dir, env=env, check=True, capture_output=True,
+        )
+        outputs.append((run_dir / "out" / "compare.json").read_bytes())
+    (row,) = json.loads(outputs[0])["rows"]
+    assert not row["failed"] and row["dims"]["full"] == 10103
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -573,23 +607,37 @@ def _readme_commands(sh_text: str) -> list[tuple[list[str], str | None]]:
     return commands
 
 
-@pytest.mark.parametrize("command", ["effpot", "scatter", "lune", "verify"])
+@pytest.mark.parametrize("command", ["effpot", "scatter", "lune", "spectrum", "verify"])
 def test_readme_examples_run(runner, tmp_path, monkeypatch, command):
     sections = {h.split("`")[1]: blocks for h, blocks in _readme_sections().items()
                 if h.startswith("`bfmix ")}
     blocks = sections[f"bfmix {command}"]
     examples = [json.loads(text) for fence, text in blocks if fence == "json"]
+    # an example with a "type" is a potential or profile, one without a config
+    inputs = [e for e in examples if "type" in e]
+    configs = [e for e in examples if "type" not in e]
     commands = [c for fence, text in blocks if fence == "sh" for c in _readme_commands(text)]
     assert commands and all(args[0] == command for args, _ in commands)
     file_flags = {"--V", "--W", "--w", "--v", "--psi"}
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("BFMIX_CACHE_DIR", raising=False)
+
+    def write(path, example):
+        with open(path, "w") as fh:
+            json.dump(example, fh)
+
     for args, prints in commands:
         for flag, value in zip(args, args[1:]):
             if flag in file_flags:
-                (example,) = examples
-                with open(value, "w") as fh:
-                    json.dump(example, fh)
+                (example,) = inputs
+                write(value, example)
+            elif flag == "--config":
+                (config,) = configs
+                write(value, config)
+                for key in ("v", "w"):
+                    if config.get(key):
+                        (example,) = inputs
+                        write(config[key], example)
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args, result.output)
         if prints is not None:

@@ -492,8 +492,9 @@ def test_compare_first_iterative_row_converges():
 
 def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
     # kf2 9, 16 and 25 are past the dense cutoff: ``auto`` runs LOBPCG,
-    # which must agree with a full eigh of the same Hamiltonian.  n = 2 is the
-    # slow case: 525 LOBPCG iterations at kf2 16.
+    # which must agree with a full eigh of the same Hamiltonian.  n >= 2
+    # blocks carry guard vectors: 206 LOBPCG iterations for n = 2 at kf2 16
+    # (585 with a block of exactly n).
     v, w = single_mode_v(), sample_w()
     kf2s, dims = [9, 16, 25], [559, 1031, 1671]
     dense = {
@@ -514,6 +515,28 @@ def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
             assert max(row.residuals_h) <= 1e-9
             for got, want in zip(row.mu_h, dense[row.kf2]):
                 assert abs(got - want) <= 1e-9
+
+
+def test_lobpcg_guard_vectors_resolve_a_split_cluster():
+    # 3 bosons at kf2 4 (463 states): the 3rd eigenvalue sits 4.5e-9 below a
+    # six-fold degenerate one.  A block of exactly n = 3 vectors ends inside
+    # that cluster and missed the gate (worst residual 2.2e-9 after 1983
+    # iterations); with guard vectors the lowest three pass it and match a
+    # full eigh.
+    v, w = single_mode_v(), sample_w()
+    (row,) = theorem1_compare(v, w, 3, [4], n=3)
+    assert not row.failed, row.message
+    assert row.dims["full"] == 463 and row.method_h == "lanczos"
+    tol = 1e-10
+    assert max(row.residuals_h) <= 10 * tol * max(1.0, max(map(abs, row.mu_h)))
+    ms = ModeSet.ball(default_cutoff_rule(4), 4)
+    basis = FockBasis(ms, reachable_boson_modes(ms, (v, w), 2), 3, 1, (0, 0, 0))
+    dense = lowest_eigenvalues(
+        hamiltonian(basis, v, w, lam=coupling_scale(3, 4)), n=9, method="dense"
+    ).values
+    assert dense[3] - dense[2] < 1e-8 and dense[8] - dense[3] < 1e-12
+    for got, want in zip(row.mu_h, dense):
+        assert abs(got - want) <= 10 * tol
 
 
 def test_compare_runs_no_eigh_past_the_dense_cutoff(monkeypatch):
