@@ -104,7 +104,7 @@ class ModeSet:
         self._nbr: dict = {}
 
     def _neighbours(self, k: IVec) -> np.ndarray:
-        """Index of ``modes[i] + k`` for every ``i``; -1 where it leaves the set."""
+        """Index of ``modes[i] + k`` for each ``i``; -1 outside the set."""
         if k not in self._nbr:
             get, (kx, ky, kz) = self._index.get, k
             self._nbr[k] = np.array([get((x + kx, y + ky, z + kz), -1) for x, y, z in self])
@@ -253,6 +253,16 @@ def _combinations(indices, count: int) -> np.ndarray:
     return np.fromiter(flat, np.int64).reshape(math.comb(len(indices), count), count)
 
 
+def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic rank of each row among the distinct rows, and those."""
+    srt = np.lexsort(rows.T[::-1])
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (np.diff(rows[srt], axis=0) != 0).any(axis=1)
+    codes = np.empty(len(rows), dtype=np.int64)
+    codes[srt] = np.cumsum(new) - 1
+    return codes, rows[srt[new]]
+
+
 def _exc_keys(parts: np.ndarray, holes: np.ndarray, base: int) -> np.ndarray:
     """Rows ``(parts, holes)`` read as base-``base`` numbers: in tuple order."""
     key = np.zeros(len(parts), dtype=np.int64)
@@ -262,15 +272,13 @@ def _exc_keys(parts: np.ndarray, holes: np.ndarray, base: int) -> np.ndarray:
 
 
 def _ladder_sign(occ: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per row, the fermion sign of ladder operators at ``x`` then ``y`` on
-    the occupied ``occ``: -1 to the count below each, plus ``x < y``."""
+    """Fermion sign of ladder operators at ``x`` then ``y`` per row of ``occ``."""
     return (-1) ** ((occ < x[:, None]).sum(1) + (occ < y[:, None]).sum(1) + (x < y))
 
 
 @dataclass(frozen=True)
 class _Level:
-    """A pair level's ``(n, p)`` part and hole indices, their sorted keys in
-    ``base``, and the index of its first block."""
+    """One pair level's blocks: ``(n, p)`` indices, sorted keys, first index."""
 
     first: int
     parts: np.ndarray
@@ -352,7 +360,6 @@ class FockBasis:
             for b, mom in enumerate(self._boson.momenta):
                 classes.setdefault(mom, []).append(b)
             self._classes = classes
-        # the class of each configuration and its position there
         self._bcid = np.empty(len(self._boson.configs), dtype=np.int64)
         self._bpos = np.empty_like(self._bcid)
         for c, members in enumerate(self._classes.values()):
@@ -374,7 +381,10 @@ class FockBasis:
             )
         else:
             matches = [self._match(modes, p) for p in range(top + 1)]
-            total = sum(int(((hi - lo) * self._sizes).sum()) for *_, lo, hi in matches)
+            total = sum(
+                int((h_n[:, None] * (hi - lo) * self._sizes).sum())
+                for *_, h_n, _, lo, hi in matches
+            )
         if total > max_dimension:
             raise CapacityError(
                 f"basis dimension {total} exceeds the cap {max_dimension}"
@@ -385,19 +395,22 @@ class FockBasis:
         if self.momentum_sector is None:  # one class: all momenta match
             matches = [self._match(0 * modes, p) for p in range(top + 1)]
 
-        # Excitation blocks in (pair count, particles, holes) order: per
-        # level, expand the matched (part, hole, class) rows, sort by key.
+        # Blocks in (pair count, particles, holes) order: expand each (hole
+        # momentum, class) cell into hole rows x part rows, sort by key.
         levels: list[_Level] = []
         cids = []
-        for parts, holes, order, lo, hi in matches:
-            n = (hi - lo).ravel()
+        for parts, holes, h_order, h_n, order, lo, hi in matches:
+            m = hi - lo
+            n = (h_n[:, None] * m).ravel()
             cell = np.repeat(np.arange(n.size), n)
-            row = order[lo.ravel()[cell] + np.arange(cell.size) - (np.cumsum(n) - n)[cell]]
-            h_row, cid = np.divmod(cell, lo.shape[1])
-            parts, holes = parts[row], holes[h_row]
+            i = np.arange(cell.size) - (np.cumsum(n) - n)[cell]
+            u, cid = np.divmod(cell, m.shape[1])
+            mc = m.ravel()[cell]
+            parts = parts[order[lo.ravel()[cell] + i % mc]]
+            holes = holes[h_order[(np.cumsum(h_n) - h_n)[u] + i // mc]]
             keys = _exc_keys(parts, holes, len(modes))
             srt = np.argsort(keys, kind="stable")
-            first = levels[-1].first + len(levels[-1].keys) if levels else 0
+            first = sum(len(v.keys) for v in levels)
             levels.append(_Level(first, parts[srt], holes[srt], keys[srt], len(modes)))
             cids.append(cid[srt])
         self._levels = levels
@@ -415,24 +428,20 @@ class FockBasis:
         self._shift_block_cache: dict = {}
 
     def _match(self, modes: np.ndarray, p: int) -> tuple:
-        """Part rows, hole rows, part order by momentum, and per (hole row,
-        class Q) the range [lo, hi) of that order with momentum
-        sector + sum(holes) - Q, so that block (parts, holes) holds Q."""
+        """Part and hole rows of ``p`` pairs, each sorted by momentum, the
+        count per hole momentum, and per (hole momentum, class Q) the range
+        [lo, hi) of parts with momentum sector + sum(holes) - Q."""
         parts = _combinations(self.mode_set.outside_indices, p)
         holes = _combinations(self.mode_set.inside_indices, p)
+        h_code, h_mom = _row_codes(modes[holes].sum(axis=1))
         qs = np.array([key or _ZERO for key in self._classes], dtype=np.int64)
-        want = np.add(self.momentum_sector or _ZERO, modes[holes].sum(1))[:, None] - qs
-        # number the distinct momenta in lexicographic order
-        moms = np.concatenate([modes[parts].sum(axis=1), want.reshape(-1, 3)])
-        srt = np.lexsort(moms.T[::-1])
-        step = np.ones(len(srt), dtype=np.int64)
-        step[1:] = (np.diff(moms[srt], axis=0) != 0).any(axis=1)
-        codes = np.empty_like(step)
-        codes[srt] = np.cumsum(step)
-        have, want = codes[: len(parts)], codes[len(parts) :].reshape(len(holes), -1)
+        want = np.add(self.momentum_sector or _ZERO, h_mom)[:, None] - qs
+        codes = _row_codes(np.concatenate([modes[parts].sum(1), want.reshape(-1, 3)]))[0]
+        have, want = codes[: len(parts)], codes[len(parts) :].reshape(len(h_mom), -1)
         order = np.argsort(have, kind="stable")
         have = have[order]
-        return parts, holes, order, have.searchsorted(want), have.searchsorted(want, "right")
+        return (parts, holes, np.argsort(h_code, kind="stable"), np.bincount(h_code),
+                order, have.searchsorted(want), have.searchsorted(want, "right"))
 
     @cached_property
     def _exc(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -449,8 +458,7 @@ class FockBasis:
         if not 0 <= i < self.dimension:
             raise ValidationError("state index out of range")
         e = bisect_left(self._block_start, i + 1) - 1
-        key = self._block_class[e]
-        b = self._classes[key][i - self._block_start[e]]
+        b = self._classes[self._block_class[e]][i - self._block_start[e]]
         parts, holes = self._exc[e]
         modes = self.mode_set.modes
         return (
@@ -838,7 +846,6 @@ def _coupling_blocks(basis: FockBasis, transitions) -> sp.csr_matrix:
         hit = e_to >= 0
         e_to, e_from, sign = e_to[hit], e_from[hit], sign[hit]
         for key, (to_pos, from_pos, vals, to_key) in blocks.items():
-            # A boson shift that leaves the target's class has no elements.
             sel = (basis._cid[e_from] == basis._class_id[key]) & (
                 basis._cid[e_to] == basis._class_id[to_key]
             )
@@ -875,7 +882,6 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                 p = ms._neighbours(k)[holes_all]
                 fits = (p >= 0) & ~inside[p]
                 h, p = holes_all[fits], p[fits]
-                # every (block, pair) whose two modes are both empty
                 b, c = np.nonzero(~(lev.holes[:, :, None] == h).any(1)
                                   & ~(lev.parts[:, :, None] == p).any(1))
                 parts, holes, h, p = lev.parts[b], lev.holes[b], h[c], p[c]
@@ -924,8 +930,7 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
                 if delta == _ZERO:
                     continue
                 for c, hole in itertools.product(range(lev.parts.shape[1]), (False, True)):
-                    # a particle hops to j + delta outside, a hole to l - delta
-                    # inside; the target mode must be empty
+                    # to an empty mode: a particle outside, a hole inside
                     moving = lev.holes if hole else lev.parts
                     to = ms._neighbours(_neg(delta) if hole else delta)[moving[:, c]]
                     r = np.flatnonzero((to >= 0) & (inside[to] == hole)
