@@ -143,10 +143,10 @@ def lowest_eigenvalues(
     ``method`` may be ``"auto"`` (dense up to ``dense_cutoff`` = 200
     dimensions, iterative beyond), ``"dense"``, or ``"lanczos"``, the
     historical name of the iterative path, which runs LOBPCG on a seeded
-    random start block for at most ``max_iter`` iterations in all; for
-    ``n >= 2`` the block carries guard vectors past the ``n`` wanted.  Both
-    paths are deterministic for a fixed ``seed``; results carry true
-    residuals recomputed from the operator.  Raises
+    random start block for at most ``max_iter`` iterations; for ``n >= 2``
+    the block carries one guard vector past the ``n`` wanted.  Both paths
+    are deterministic for a fixed ``seed``; results carry true residuals
+    recomputed from the operator.  Raises
     :class:`~bfmix.errors.ConvergenceError` (with all ``n`` estimates
     attached) when an iterative residual exceeds
     ``10 * tol * max(1, max |mu|)``.
@@ -162,71 +162,63 @@ def lowest_eigenvalues(
         raise ValidationError(f"unknown eigensolver method {method!r}")
     if method == "auto":
         method = "dense" if dim <= dense_cutoff else "lanczos"
-
-    def result(vals, vecs, iters) -> EigenResult:
-        vecs = np.array([_fix_gauge(vecs[:, j]) for j in range(n)]).T
-        residuals = tuple(
-            float(np.linalg.norm(op.apply(vecs[:, j]) - vals[j] * vecs[:, j]))
-            for j in range(n)
-        )
-        return EigenResult(
-            values=tuple(float(x) for x in vals),
-            vectors=vecs,
-            residuals=residuals,
-            method=method,
-            iterations=iters,
-        )
-
     if method == "dense":
-        theta, svec = sla.eigh(op.matrix().toarray())
-        return result(theta[:n], svec[:, :n], dim)
-    # local: only the iterative path needs scipy.sparse.linalg
-    from scipy.sparse.linalg import lobpcg
+        mat = op.matrix().toarray()
+        theta, svec = sla.eigh(mat)
+        vals = theta[:n]
+        vecs = svec[:, :n]
+        iters = dim
+    else:
+        # local: only the iterative path needs scipy.sparse.linalg
+        from scipy.sparse.linalg import lobpcg
 
-    # For n >= 2 the block carries guard vectors past the n wanted (Knyazev,
-    # SIAM J. Sci. Comput. 23, 517 (2001)): a block that ends inside a
-    # cluster of (near-)degenerate eigenvalues converges slowly or breaks
-    # down.  One guard to start, doubled while the lowest n fail the
-    # residual gate, within one shared iteration budget.  LOBPCG hands a
-    # block wider than a fifth of the dimension to a dense solver, which
-    # ends the widening.
-    mat, guards, iters = op.matrix(), (0 if n == 1 else 1), 0
-    while True:
+        # For n >= 2 the block carries a guard vector past the n wanted
+        # (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)): a block that ends
+        # inside a cluster of (near-)degenerate eigenvalues converges slowly.
+        # n = 1 keeps its block of one, bit for bit.
+        width = 1 if n == 1 else n + 1
         # LOBPCG's own stopping test and its warnings are advisory: the
         # true-residual gate below is the only judge of convergence.
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
                 vals, vecs, *history = lobpcg(
-                    mat,
-                    rng(seed, 0).standard_normal((dim, n + guards)),
+                    op.matrix(),
+                    rng(seed, 0).standard_normal((dim, width)),
                     largest=False,
                     tol=tol,
-                    maxiter=max_iter - iters,
+                    maxiter=max_iter,
                     retResidualNormsHistory=True,
                 )
-        except (ValueError, np.linalg.LinAlgError):
-            # a breakdown with no iterate to return: widen, as for a failure
-            if not guards or 5 * (n + guards) > dim:
-                raise
-            guards *= 2
-            continue
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                # a breakdown that leaves no iterate to return
+                raise ConvergenceError(f"LOBPCG broke down: {exc}") from exc
         # The residual history has one row per iterate up to the returned
         # one plus the final Rayleigh-Ritz step; it is absent when LOBPCG
-        # hands a small problem (dim < 5 x block width) to a dense solver.
-        iters += len(history[0]) - 2 if history else 0
-        vals = vals[:n]
-        out = result(vals, vecs[:, :n] / np.linalg.norm(vecs[:, :n], axis=0), iters)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if max(out.residuals) <= 10 * tol * scale:
-            return out
-        if not guards or not history or iters >= max_iter:
-            raise ConvergenceError(
-                f"LOBPCG eigenpairs failed the residual check after {iters} "
-                f"iterations (worst {max(out.residuals):.3e}, tolerance {tol})",
-                estimates=out,
-            )
-        guards *= 2
+        # hands a small problem (dim < 5 x width) to a dense solver.
+        iters = len(history[0]) - 2 if history else 0
+        vals, vecs = vals[:n], vecs[:, :n]
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+    vecs = np.array([_fix_gauge(vecs[:, j]) for j in range(n)]).T
+    residuals = tuple(
+        float(np.linalg.norm(op.apply(vecs[:, j]) - vals[j] * vecs[:, j]))
+        for j in range(n)
+    )
+    result = EigenResult(
+        values=tuple(float(x) for x in vals),
+        vectors=vecs,
+        residuals=residuals,
+        method=method,
+        iterations=iters,
+    )
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if method == "lanczos" and max(residuals) > 10 * tol * scale:
+        raise ConvergenceError(
+            f"LOBPCG eigenpairs failed the residual check after {iters} "
+            f"iterations (worst {max(residuals):.3e}, tolerance {tol})",
+            estimates=result,
+        )
+    return result
 
 
 # ----------------------------------------------------------------------

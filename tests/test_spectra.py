@@ -493,7 +493,7 @@ def test_compare_first_iterative_row_converges():
 def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
     # kf2 9, 16 and 25 are past the dense cutoff: ``auto`` runs LOBPCG,
     # which must agree with a full eigh of the same Hamiltonian.  n >= 2
-    # blocks carry guard vectors: 206 LOBPCG iterations for n = 2 at kf2 16
+    # blocks carry a guard vector: 206 LOBPCG iterations for n = 2 at kf2 16
     # (585 with a block of exactly n).
     v, w = single_mode_v(), sample_w()
     kf2s, dims = [9, 16, 25], [559, 1031, 1671]
@@ -517,11 +517,11 @@ def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
                 assert abs(got - want) <= 1e-9
 
 
-def test_lobpcg_guard_vectors_resolve_a_split_cluster():
+def test_lobpcg_guard_vector_resolves_a_split_cluster():
     # 3 bosons at kf2 4 (463 states): the 3rd eigenvalue sits 4.5e-9 below a
     # six-fold degenerate one.  A block of exactly n = 3 vectors ends inside
     # that cluster and missed the gate (worst residual 2.2e-9 after 1983
-    # iterations); with guard vectors the lowest three pass it and match a
+    # iterations); with a guard vector the lowest three pass it and match a
     # full eigh.
     v, w = single_mode_v(), sample_w()
     (row,) = theorem1_compare(v, w, 3, [4], n=3)
@@ -537,6 +537,21 @@ def test_lobpcg_guard_vectors_resolve_a_split_cluster():
     assert dense[3] - dense[2] < 1e-8 and dense[8] - dense[3] < 1e-12
     for got, want in zip(row.mu_h, dense):
         assert abs(got - want) <= 10 * tol
+
+
+def test_lobpcg_breakdown_is_a_convergence_error(monkeypatch):
+    # scipy's LOBPCG can raise instead of returning an iterate (3 bosons,
+    # n = 3, kf2 16 with v on (1,0,0) and (2,0,0): "eigh has failed in
+    # lobpcg postprocessing"); a compare row must then fail, not crash.
+    import scipy.sparse.linalg
+
+    def broken(*args, **kwargs):
+        raise ValueError("eigh has failed in lobpcg postprocessing")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", broken)
+    with pytest.raises(ConvergenceError, match="LOBPCG broke down"):
+        lowest_eigenvalues(_compare_row_hamiltonian(single_mode_v(), sample_w(), 9),
+                           n=2, method="lanczos")
 
 
 def test_compare_runs_no_eigh_past_the_dense_cutoff(monkeypatch):
