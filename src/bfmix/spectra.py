@@ -177,14 +177,15 @@ def lowest_eigenvalues(
         # inside a cluster of (near-)degenerate eigenvalues converges slowly.
         # n = 1 keeps its block of one, bit for bit.
         width = 1 if n == 1 else n + 1
+        mat, start = op.matrix(), rng(seed, 0).standard_normal((dim, width))
         # LOBPCG's own stopping test and its warnings are advisory: the
         # true-residual gate below is the only judge of convergence.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             try:
                 vals, vecs, *history = lobpcg(
-                    op.matrix(),
-                    rng(seed, 0).standard_normal((dim, width)),
+                    mat,
+                    start,
                     largest=False,
                     tol=tol,
                     maxiter=max_iter,

@@ -66,7 +66,7 @@ def shift_blocks(basis: FockBasis):
 
 
 def expand_diag(basis: FockBasis, per_exc: np.ndarray | None,
-                 per_boson: np.ndarray | None) -> np.ndarray:
+                per_boson: np.ndarray | None) -> np.ndarray:
     """Expand per-excitation and/or per-boson diagonals to the full basis."""
     diag = np.zeros(basis.dimension)
     for e, key in enumerate(basis._block_class):
