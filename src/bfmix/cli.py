@@ -472,6 +472,11 @@ _CONFIG_DEFAULTS: dict = {
 _KNOWN_CHECKS = ("compare", "overlap", "decomposition")
 
 
+def _is_number(x, kind=(int, float)) -> bool:
+    """``x`` is an instance of ``kind`` but not a JSON ``true``/``false``."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _load_experiment_config(path: str) -> dict:
     """Read, default-fill, and validate an experiment configuration."""
     with open(path) as fh:
@@ -488,13 +493,13 @@ def _load_experiment_config(path: str) -> dict:
     config.update(data)
     for field in ("n_bosons", "max_pairs", "n_eigenvalues", "boson_cutoff",
                   "seed", "max_dimension", "trials", "threads"):
-        if not isinstance(config[field], int) or isinstance(config[field], bool):
+        if not _is_number(config[field], int):
             raise ValidationError(f"{path}: field {field!r} must be an integer")
     for field in ("tol", "gap_tol"):
-        if not isinstance(config[field], (int, float)) or config[field] <= 0:
+        if not _is_number(config[field]) or config[field] <= 0:
             raise ValidationError(f"{path}: field {field!r} must be a positive number")
     if (not isinstance(config["kf2_list"], list) or not config["kf2_list"]
-            or not all(isinstance(x, int) and x > 0 for x in config["kf2_list"])):
+            or not all(_is_number(x, int) and x > 0 for x in config["kf2_list"])):
         raise ValidationError(f"{path}: field 'kf2_list' must be a nonempty list "
                               "of positive integers")
     if (not isinstance(config["checks"], list) or not config["checks"]
@@ -502,9 +507,9 @@ def _load_experiment_config(path: str) -> dict:
         raise ValidationError(f"{path}: field 'checks' must be a nonempty subset "
                               f"of {list(_KNOWN_CHECKS)}")
     rule = config["cutoff_rule"]
-    if not (rule == "default" or isinstance(rule, (int, float))
+    if not (rule == "default" or _is_number(rule)
             or (isinstance(rule, dict) and set(rule) == {"offset"}
-                and isinstance(rule.get("offset"), (int, float)))):
+                and _is_number(rule["offset"]))):
         raise ValidationError(f"{path}: field 'cutoff_rule' must be 'default', "
                               "a number, or {\"offset\": x}")
     for field in ("v", "w", "cache_dir", "output_dir"):

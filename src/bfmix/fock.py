@@ -201,13 +201,21 @@ class ExcitationConfig:
 
 
 class _BosonSpace:
-    """Deterministic enumeration of N-boson occupation configurations."""
+    """Deterministic enumeration of N-boson occupation configurations.
+
+    Configurations follow the combinations-with-replacement order over the
+    mode list; :meth:`shift` and :meth:`interaction` are the boson operators
+    as CSR matrices on them.  The hand-written occupation algebra these are
+    pinned against is ``tests/boson_oracles.py``.
+    """
 
     def __init__(self, modes: tuple[IVec, ...], n: int):
         if n < 0:
             raise ValidationError("boson number must be nonnegative")
         if n > 0 and not modes:
             raise ValidationError("bosons present but no bosonic modes")
+        if len(set(modes)) != len(modes):
+            raise ValidationError("bosonic modes must be distinct")
         self.modes = modes
         self.n = n
         d = len(modes)
@@ -221,6 +229,7 @@ class _BosonSpace:
         self.momenta: list[IVec] = [tuple(m) for m in (occ @ vecs).tolist()]
         self.kinetic = (occ @ (vecs * vecs).sum(axis=1)).astype(float)
         self._shift_cache: dict[IVec, list[tuple[int, int, float]]] = {}
+        self._shift_mats: dict[IVec, sp.csr_matrix] = {}
 
     def shift_entries(self, m: IVec) -> list[tuple[int, int, float]]:
         """Entries (to, from, value) of the shift operator S_m = Σ a*_{q-m} a_q."""
@@ -245,6 +254,25 @@ class _BosonSpace:
                     entries.append((self.index[tuple(new)], bf, val))
         self._shift_cache[m] = entries
         return entries
+
+    def shift(self, m: IVec) -> sp.csr_matrix:
+        """S_m as a CSR matrix, cached per ``m``."""
+        if m not in self._shift_mats:
+            self._shift_mats[m] = self._matrix(self.shift_entries(m))
+        return self._shift_mats[m]
+
+    def interaction(self, w: FourierPotential) -> sp.csr_matrix:
+        """(1/N)Σ_{i<j} W as a CSR matrix, its zero-momentum constant included."""
+        const = _interaction_constant(self.n, w)
+        diag = [(i, i, const) for i in range(len(self.configs))] if const else []
+        return self._matrix(_boson_interaction_local(self, w) + diag)
+
+    def _matrix(self, entries: list[tuple[int, int, float]]) -> sp.csr_matrix:
+        dim = len(self.configs)
+        if not entries:
+            return sp.csr_matrix((dim, dim))
+        to, src, vals = map(np.array, zip(*entries))
+        return sp.csr_matrix((vals, (to, src)), shape=(dim, dim))
 
 
 def _combinations(indices, count: int) -> np.ndarray:
@@ -341,8 +369,6 @@ class FockBasis:
                 raise ValidationError(
                     f"bosonic mode {m} is not part of the mode set"
                 )
-        if len(set(bmodes)) != len(bmodes):
-            raise ValidationError("bosonic modes must be distinct")
         self.boson_modes = bmodes
         self.n_bosons = int(n_bosons)
         self.max_pairs = int(max_pairs)
@@ -794,6 +820,11 @@ def _expand_diag(basis: FockBasis, per_exc: np.ndarray | None,
     return diag
 
 
+def _interaction_constant(n: int, w: FourierPotential) -> float:
+    """Zero-momentum part (n−1)/2·ŵ(0)/(2π)^{3/2} of (1/N)Σ_{i<j} W; 0 when n = 0."""
+    return (n - 1) / 2.0 * w.coefficient(_ZERO) / FOURIER_FACTOR if n >= 1 else 0.0
+
+
 def _boson_interaction_local(bspace: _BosonSpace, w: FourierPotential):
     """Off-constant two-body entries of (1/N)Σ_{i<j} W on the boson space."""
     n = bspace.n
@@ -968,9 +999,7 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
     # Diagonal: boson kinetic + boson-interaction constant + fermion kinetic
     # + the l = j coupling terms λ V̂(0) N per occupied fermion mode.
     n = basis.n_bosons
-    const = 0.0
-    if n >= 1:
-        const += (n - 1) / 2.0 * w.coefficient(_ZERO) / FOURIER_FACTOR
+    const = _interaction_constant(n, w)
     fermi_kin = np.array(
         [
             float(sum(_norm2(modes[i]) for i in cfg))
@@ -1092,10 +1121,7 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
     if kind == "charge":
         return sp.csr_matrix((basis.dimension, basis.dimension))
     if kind == "boson_interaction":
-        n = basis.n_bosons
-        const = 0.0
-        if n >= 1:
-            const += (n - 1) / 2.0 * op.w.coefficient(_ZERO) / FOURIER_FACTOR
+        const = _interaction_constant(basis.n_bosons, op.w)
         blocks = basis._class_blocks(
             _boson_interaction_local(basis._boson, op.w), _ZERO
         )
@@ -1314,7 +1340,6 @@ class InequalityReport:
 def inequality_suite(
     basis: FockBasis,
     v: FourierPotential,
-    w: FourierPotential | None = None,
     trials: int = 100,
     seed: int = 2024,
 ) -> InequalityReport:
@@ -1322,10 +1347,8 @@ def inequality_suite(
 
     The kinetic bound holds because each particle-hole pair costs at least
     one unit of signed kinetic energy on integer shells; the scattering bound
-    is |⟨pair_scatter⟩| ≤ 2·N·‖V̂‖₁·⟨𝒩₊⟩.  ``w`` is accepted for interface
-    parity but neither bound involves the boson pair potential.
+    is |⟨pair_scatter⟩| ≤ 2·N·‖V̂‖₁·⟨𝒩₊⟩.
     """
-    del w
     t_mat = OperatorHandle("excitation_kinetic", basis).matrix()
     n_mat = OperatorHandle("pair_number", basis).matrix()
     d_mat = OperatorHandle("pair_scatter", basis, v=v).matrix()

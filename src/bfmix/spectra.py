@@ -20,17 +20,19 @@ fermion-mediated effective pair potential.  It provides
   against the assembled operator product, verifies the sign-definite
   blocks numerically, and tests the exact completed-square identity.
 
-Dual evaluation paths are kept deliberately separate: closed-form sums
-use this module's own boson shift/interaction algebra and its own
-truncated lune enumeration, while the matrix path goes through the
-excitation-operator assembly.  Tests pin the two against each other.
+Dual evaluation paths are kept deliberately separate on the fermion side:
+closed-form sums use this module's own truncated lune enumeration, while
+the matrix path goes through the excitation-operator assembly, and tests
+pin the two against each other.  Both paths share :mod:`bfmix.fock`'s
+boson occupation space (``_BosonSpace``, its shift and pair-interaction
+matrices); its independent hand-written copy is the test oracle in
+``tests/boson_oracles.py``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,10 +49,16 @@ from .errors import (
     DegeneracyError,
     ValidationError,
 )
-from .fock import FockBasis, ModeSet, _expand_diag, hamiltonian, operator
+from .fock import (
+    FockBasis,
+    ModeSet,
+    _BosonSpace,
+    _expand_diag,
+    hamiltonian,
+    operator,
+)
 from .lattice import lune_count
 from .potentials import (
-    FOURIER_FACTOR,
     FourierPotential,
     coupling_scale,
     effective_potential_kF,
@@ -121,6 +129,9 @@ class EigenResult:
         return groups
 
 
+DENSE_CUTOFF = 200  # largest dimension that ``method="auto"`` solves densely
+
+
 def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(vec)))
     if vec[idx] < 0:
@@ -134,13 +145,12 @@ def lowest_eigenvalues(
     n: int = 1,
     tol: float = 1e-10,
     max_iter: int = 2000,
-    dense_cutoff: int = 200,
     method: str = "auto",
     seed: int = 7,
 ) -> EigenResult:
     """The ``n`` lowest eigenpairs of a symmetric operator handle.
 
-    ``method`` may be ``"auto"`` (dense up to ``dense_cutoff`` = 200
+    ``method`` may be ``"auto"`` (dense up to ``DENSE_CUTOFF`` = 200
     dimensions, iterative beyond), ``"dense"``, or ``"lanczos"``, the
     historical name of the iterative path, which runs LOBPCG on a seeded
     random start block for at most ``max_iter`` iterations; for ``n >= 2``
@@ -161,7 +171,7 @@ def lowest_eigenvalues(
     if method not in ("auto", "dense", "lanczos"):
         raise ValidationError(f"unknown eigensolver method {method!r}")
     if method == "auto":
-        method = "dense" if dim <= dense_cutoff else "lanczos"
+        method = "dense" if dim <= DENSE_CUTOFF else "lanczos"
     if method == "dense":
         mat = op.matrix().toarray()
         theta, svec = sla.eigh(mat)
@@ -220,156 +230,6 @@ def lowest_eigenvalues(
             estimates=result,
         )
     return result
-
-
-# ----------------------------------------------------------------------
-# independent boson algebra (closed-form evaluation path)
-# ----------------------------------------------------------------------
-
-
-class _BosonAlgebra:
-    """Occupation-number algebra on a fixed list of boson modes.
-
-    Configurations are enumerated with the canonical
-    combinations-with-replacement ordering over the mode list, so
-    coefficient vectors are interchangeable with the excitation basis's
-    boson blocks.  All operator actions here are written independently
-    of the matrix-assembly code.
-    """
-
-    def __init__(self, modes: Sequence[IVec], n: int):
-        self.modes: tuple[IVec, ...] = tuple(_ivec(m) for m in modes)
-        if len(set(self.modes)) != len(self.modes):
-            raise ValidationError("boson modes must be distinct")
-        self.n = int(n)
-        if self.n < 0:
-            raise ValidationError("boson number must be nonnegative")
-        d = len(self.modes)
-        configs: list[tuple[int, ...]] = []
-        if self.n == 0:
-            configs.append((0,) * d)
-        else:
-            for combo in itertools.combinations_with_replacement(
-                range(d), self.n
-            ):
-                occ = [0] * d
-                for i in combo:
-                    occ[i] += 1
-                configs.append(tuple(occ))
-        self.configs = configs
-        self.index = {cfg: i for i, cfg in enumerate(configs)}
-        self._mode_index = {m: i for i, m in enumerate(self.modes)}
-        n2 = [_norm2(m) for m in self.modes]
-        self.kinetic = np.array(
-            [float(sum(c * e for c, e in zip(cfg, n2))) for cfg in configs]
-        )
-        self.momenta = [
-            tuple(
-                sum(c * m[axis] for c, m in zip(cfg, self.modes))
-                for axis in range(3)
-            )
-            for cfg in configs
-        ]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.configs)
-
-    def shift_apply(self, x: np.ndarray, m: IVec) -> np.ndarray:
-        """Apply the momentum shift ``sum_q a*_{q-m} a_q`` to ``x``."""
-        m = _ivec(m)
-        out = np.zeros_like(x, dtype=float)
-        for src, amp in enumerate(x):
-            if amp == 0.0:
-                continue
-            occ = self.configs[src]
-            for iq, cq in enumerate(occ):
-                if cq == 0:
-                    continue
-                target = _sub(self.modes[iq], m)
-                it = self._mode_index.get(target)
-                if it is None:
-                    continue
-                if it == iq:
-                    out[src] += cq * amp
-                else:
-                    work = list(occ)
-                    work[iq] -= 1
-                    val = math.sqrt(cq * (work[it] + 1))
-                    work[it] += 1
-                    out[self.index[tuple(work)]] += val * amp
-        return out
-
-    def shift_matrix(self, m: IVec) -> np.ndarray:
-        """Dense matrix of :meth:`shift_apply` for small spaces."""
-        nd = self.dimension
-        mat = np.zeros((nd, nd))
-        for src in range(nd):
-            unit = np.zeros(nd)
-            unit[src] = 1.0
-            mat[:, src] = self.shift_apply(unit, m)
-        return mat
-
-    def interaction_apply(self, x: np.ndarray, w: FourierPotential) -> np.ndarray:
-        """Apply the normalized boson pair interaction to ``x``.
-
-        Includes the constant zero-momentum piece
-        ``(n - 1) / 2 * w_hat(0) / (2 pi)^{3/2}`` whenever at least one
-        boson is present, matching the excitation-operator convention.
-        """
-        n = self.n
-        out = np.zeros_like(x, dtype=float)
-        w0 = w.coefficient((0, 0, 0))
-        if n >= 1 and w0 != 0.0:
-            out += ((n - 1) / 2.0 * w0 / FOURIER_FACTOR) * x
-        if n < 2:
-            return out
-        pairs = [
-            (k, c) for k, c in w.items() if k != (0, 0, 0) and c != 0.0
-        ]
-        if not pairs:
-            return out
-        pref = 1.0 / (2.0 * n * FOURIER_FACTOR)
-        for src, amp in enumerate(x):
-            if amp == 0.0:
-                continue
-            occ = self.configs[src]
-            for kvec, wk in pairs:
-                base = pref * wk * amp
-                for ip, cp in enumerate(occ):
-                    if cp == 0:
-                        continue
-                    for iq, cq in enumerate(occ):
-                        avail = cq - (1 if iq == ip else 0)
-                        if avail <= 0:
-                            continue
-                        it1 = self._mode_index.get(
-                            _sub(self.modes[iq], kvec)
-                        )
-                        if it1 is None:
-                            continue
-                        it2 = self._mode_index.get(
-                            _add(self.modes[ip], kvec)
-                        )
-                        if it2 is None:
-                            continue
-                        work = list(occ)
-                        val = math.sqrt(work[ip])
-                        work[ip] -= 1
-                        val *= math.sqrt(work[iq])
-                        work[iq] -= 1
-                        work[it1] += 1
-                        val *= math.sqrt(work[it1])
-                        work[it2] += 1
-                        val *= math.sqrt(work[it2])
-                        out[self.index[tuple(work)]] += base * val
-        return out
-
-    def h_apply(
-        self, x: np.ndarray, w: FourierPotential
-    ) -> np.ndarray:
-        """Kinetic energy plus normalized pair interaction applied to ``x``."""
-        return self.kinetic * x + self.interaction_apply(x, w)
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +330,7 @@ class TrialState:
     phi: np.ndarray = field(repr=False)
     channels: tuple[_PairChannel, ...] = field(repr=False)
     norm_sq: float
-    algebra: _BosonAlgebra = field(repr=False)
+    algebra: _BosonSpace = field(repr=False)
 
     @property
     def kf2(self) -> int:
@@ -509,12 +369,12 @@ def make_trial_state(
             raise ValidationError(
                 f"bosonic mode {m} is not part of the mode set"
             )
-    algebra = _BosonAlgebra(bmodes, n_bosons)
+    algebra = _BosonSpace(bmodes, int(n_bosons))
     vec = np.asarray(phi, dtype=float)
-    if vec.shape != (algebra.dimension,):
+    if vec.shape != (len(algebra.configs),):
         raise ValidationError(
             f"boson vector has shape {vec.shape}, expected "
-            f"({algebra.dimension},)"
+            f"({len(algebra.configs)},)"
         )
     if lam is None:
         lam = (
@@ -529,7 +389,7 @@ def make_trial_state(
             continue
         d1 = fsum(1.0 / d for _, d in lune)
         d2 = fsum(1.0 / (d * d) for _, d in lune)
-        shifted = algebra.shift_apply(vec, k)
+        shifted = algebra.shift(k) @ vec
         channels.append(
             _PairChannel(
                 k=k,
@@ -568,8 +428,12 @@ def trial_state_energy(trial: TrialState, w: FourierPotential) -> TrialEnergy:
     alg = trial.algebra
     lam = trial.lam
     phi = trial.phi
-    h_phi = alg.h_apply(phi, w)
-    bare = float(phi @ h_phi)
+    inter = alg.interaction(w)
+
+    def h_apply(x: np.ndarray) -> np.ndarray:
+        return alg.kinetic * x + inter @ x
+
+    bare = float(phi @ h_apply(phi))
     second = fsum(
         ch.coefficient * ch.coefficient * ch.d1 * ch.shifted_norm_sq
         for ch in trial.channels
@@ -579,7 +443,7 @@ def trial_state_energy(trial: TrialState, w: FourierPotential) -> TrialEnergy:
         ch.coefficient
         * ch.coefficient
         * ch.d2
-        * float(ch.shifted @ alg.h_apply(ch.shifted, w))
+        * float(ch.shifted @ h_apply(ch.shifted))
         for ch in trial.channels
     )
     third_terms: list[float] = []
@@ -596,9 +460,7 @@ def trial_state_energy(trial: TrialState, w: FourierPotential) -> TrialEnergy:
             )
             if particle_route == 0.0 and hole_route == 0.0:
                 continue
-            boson = float(
-                ch_l.shifted @ alg.shift_apply(ch_k.shifted, step)
-            )
+            boson = float(ch_l.shifted @ (alg.shift(step) @ ch_k.shifted))
             third_terms.append(
                 lam**3
                 * ch_k.coefficient
@@ -645,7 +507,7 @@ def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
     key0 = basis._block_class[vacuum]
     members0 = basis._classes[key0]
     start0 = basis._block_start[vacuum]
-    placed = np.zeros(trial.algebra.dimension, dtype=bool)
+    placed = np.zeros(len(trial.algebra.configs), dtype=bool)
     for pos, b in enumerate(members0):
         vec[start0 + pos] = trial.phi[b]
         placed[b] = True
@@ -667,7 +529,7 @@ def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
             key = basis._block_class[e]
             members = basis._classes[key]
             start = basis._block_start[e]
-            seen = np.zeros(trial.algebra.dimension, dtype=bool)
+            seen = np.zeros(len(trial.algebra.configs), dtype=bool)
             for pos, b in enumerate(members):
                 vec[start + pos] = target / d * ch.shifted[b]
                 seen[b] = True
@@ -1076,12 +938,8 @@ def _compare_row(
         )
         free_op = hamiltonian(free_basis, zero_potential(), w_eff, lam=0.0)
         mu_free = lowest_eigenvalues(free_op, n=1, tol=tol, seed=seed).values[0]
-        pair_ts = [
-            float(basis._t_diag[e])
-            for e in range(len(basis._exc))
-            if basis._pair_count[e] >= 1
-        ]
-        t_min = min(pair_ts) if pair_ts else 0.0
+        pair_ts = basis._t_diag[basis._pair_count >= 1]
+        t_min = float(pair_ts.min()) if pair_ts.size else 0.0
         if eig_eff.values[-1] <= mu_free + t_min + 1e-12:
             shortcut = True
     if decoupled and basis.dimension == basis0.dimension:
@@ -1399,8 +1257,6 @@ def quadratic_decomposition_check(
         raise ValidationError("the mode cutoff must exceed the Fermi level")
     mode_set = ModeSet.ball(lam2, kf2)
     bmodes = reachable_boson_modes(mode_set, (v,), boson_cutoff)
-    alg = _BosonAlgebra(bmodes, n_bosons)
-    nc = alg.dimension
     lam = coupling_scale(n_bosons, kf2)
     coupling = _coupling_modes(v)
     lunes = {k: _truncated_lune(mode_set, k) for k, _ in coupling}
@@ -1414,6 +1270,8 @@ def quadratic_decomposition_check(
         momentum_sector=None,
         max_dimension=max_dimension,
     )
+    alg = basis1._boson  # the vacuum block holds every boson configuration
+    nc = len(alg.configs)
     vp1 = operator("pair_create", basis1, v=v).matrix()
     t1 = _expand_diag(basis1, basis1._t_diag, None)
     pc1 = _expand_diag(basis1, basis1._pair_count, None)
@@ -1439,6 +1297,8 @@ def quadratic_decomposition_check(
     worst_med: float | None = (
         0.0 if lunes_complete and interior else None
     )
+    if worst_med is not None:
+        med_inter = alg.interaction(eff.base)
 
     def product_form(x: np.ndarray) -> float:
         full = np.zeros(basis1.dimension)
@@ -1456,7 +1316,7 @@ def quadratic_decomposition_check(
             if not lune:
                 continue
             d1 = fsum(1.0 / d for _, d in lune)
-            s = alg.shift_apply(x, k)
+            s = alg.shift(k) @ x
             terms.append(ck * ck * d1 * float(s @ s))
         val_closed = fsum(terms)
         worst_vac = max(
@@ -1470,7 +1330,7 @@ def quadratic_decomposition_check(
             draw = rng(seed, trials + t).standard_normal(len(interior))
             xi[interior] = draw
             xi /= float(np.linalg.norm(xi))
-            val_med = float(xi @ alg.interaction_apply(xi, eff.base)) + (
+            val_med = float(xi @ (med_inter @ xi)) + (
                 0.5 * eff.at_zero
             )
             lhs = lam * lam * product_form(xi)
@@ -1499,7 +1359,7 @@ def quadratic_decomposition_check(
 
     def s_mat(m: IVec) -> np.ndarray:
         if m not in s_mats:
-            s_mats[m] = alg.shift_matrix(m)
+            s_mats[m] = alg.shift(m).toarray()
         return s_mats[m]
 
     def boson_block(k_out: IVec, k_in: IVec) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from boson_oracles import BosonAlgebra as _BosonAlgebra
 from test_fock import draw_potentials, sample_v, sample_w, six_mode_set
 
 from bfmix.cli import main as cli_main
@@ -56,7 +57,6 @@ from bfmix.scattering import (
     scattering_length,
 )
 from bfmix.spectra import (
-    _BosonAlgebra,
     corollary_overlap,
     make_trial_state,
     materialize_trial_state,

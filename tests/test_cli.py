@@ -420,6 +420,20 @@ def test_spectrum_bad_field_type_is_schema_error(runner, tmp_path):
     assert "n_bosons" in result.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kf2_list", [True]), ("tol", True), ("gap_tol", True),
+    ("cutoff_rule", True), ("cutoff_rule", {"offset": True}),
+])
+def test_spectrum_boolean_number_is_schema_error(runner, tmp_path, field, value):
+    # JSON true is a Python int; it must not pass as kf2 1, tol 1 or cutoff 1.0
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump({field: value}, fh)
+    result = runner.invoke(main, ["spectrum", "--config", path])
+    assert result.exit_code == 2
+    assert f"field '{field}'" in result.stderr
+
+
 def test_spectrum_too_many_eigenvalues_names_the_field(runner, fourier_files, tmp_path):
     # The effective boson basis has 3 states at kf2 1 here; asking for 4
     # eigenvalues is a config error that names the field, the row and the size.

@@ -11,6 +11,7 @@ from bfmix.fock import (
     ExcitationConfig,
     ModeSet,
     OperatorHandle,
+    _BosonSpace,
     _OffChargeSpace,
     _ph_image,
     _sign_annihilate,
@@ -28,7 +29,9 @@ from bfmix.potentials import (
     from_coefficients,
     zero_potential,
 )
+from bfmix.spectra import make_trial_state
 from bfmix.util import rng
+from boson_oracles import BosonAlgebra
 
 SIX_MODES = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 0, 0)]
 
@@ -290,6 +293,32 @@ class TestBosonNormalization:
 
         projected = embed.T @ product @ embed
         assert np.max(np.abs(projected - dense)) < 1e-12
+
+
+class TestBosonSpace:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_operators_match_hand_written_algebra(self, n):
+        space, oracle = _BosonSpace(tuple(SIX_MODES), n), BosonAlgebra(SIX_MODES, n)
+        assert space.configs == oracle.configs
+        no_zero = from_coefficients({(1, 0, 0): 0.4, (1, 1, 0): -0.25}, cutoff=1)
+        for t, w in enumerate((sample_w(), no_zero)):
+            x = rng(31, t).standard_normal(len(space.configs))
+            for m in [(0, 0, 0), (1, 0, 0), (-1, -1, 0), (2, 0, 0), (-3, 0, 0)]:
+                ref = oracle.shift_apply(x, m)
+                got = space.shift(m) @ x
+                assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+            ref = oracle.interaction_apply(x, w)
+            got = space.interaction(w) @ x
+            assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+    def test_duplicate_modes_rejected_everywhere(self):
+        ms, twice = six_mode_set(), [(0, 0, 0), (0, 0, 0)]
+        with pytest.raises(ValidationError, match="distinct"):
+            build_basis(ms, twice, 1, 1)
+        with pytest.raises(ValidationError, match="distinct"):
+            build_physical_basis(ms, twice, 1)
+        with pytest.raises(ValidationError, match="distinct"):
+            make_trial_state(np.ones(2), ms, twice, 1, sample_v())
 
 
 class TestOperators:
