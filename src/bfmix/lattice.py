@@ -51,8 +51,12 @@ def canonical_vector(k: Sequence[int]) -> IVec:
     coordinate axes (and under k -> -k, which they contain), so the sorted
     absolute-value triple indexes each symmetry class.
     """
-    kx, ky, kz = _ivec(k)
-    return tuple(sorted((abs(kx), abs(ky), abs(kz))))  # type: ignore[return-value]
+    return _canonical(_ivec(k))
+
+
+def _canonical(k: IVec) -> IVec:
+    """canonical_vector of a tuple already validated as an integer 3-vector."""
+    return tuple(sorted((abs(k[0]), abs(k[1]), abs(k[2]))))  # type: ignore[return-value]
 
 
 def _check_kf2(kf2) -> int | float:

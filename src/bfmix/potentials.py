@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import LuneSumTable, resolvent_sum
+from .lattice import LuneSumTable, _canonical, _check_kf2, resolvent_sum
 from .scattering import RadialProfile
 from .util import IVec, _ivec, _neg
 
@@ -99,8 +99,19 @@ class FourierPotential:
         (x) contraction is one real matmul over the stacked cosine and sine
         rows. That costs O((2K+1) n^3) time and n^3 floats of memory, where a
         dense n^3 inverse FFT costs O(n^3 log n) on lines that are all zero.
+        This is the all-rows case of ``_grid_rows``.
 
         Requires n > 2*cutoff so distinct modes stay distinct mod n.
+        """
+        return self._grid_rows(n, n).reshape(n, n, n)
+
+    def _grid_rows(self, n: int, rows: int) -> np.ndarray:
+        """The grid of ``grid_values(n)`` on its first ``rows`` x rows only.
+
+        Returns the (rows, n*n) array [ix, iy*n + iz] for ix < rows: the z
+        and y contractions run in full, the last (x) contraction only over
+        the requested rows, so it costs O((2K+1) rows n^2) time and
+        rows*n^2 floats of output.
         """
         if n <= 2 * self.cutoff:
             raise ValidationError(f"grid size {n} aliases modes with cutoff {self.cutoff}")
@@ -112,9 +123,20 @@ class FourierPotential:
         # a*j reduced mod n keeps every phase angle in [0, 2 pi)
         phase = np.exp((2j * math.pi / n) * (np.outer(np.arange(-K, K + 1), np.arange(n)) % n))
         lines = phase.T @ (cube @ phase)  # [a, iy, iz]
-        rows = np.concatenate([phase.real.T, -phase.imag.T], axis=1) / FOURIER_FACTOR
-        vals = rows @ np.concatenate([lines.real, lines.imag]).reshape(2 * m, n * n)
-        return vals.reshape(n, n, n)
+        x_rows = phase.T[:rows]
+        cos_sin = np.concatenate([x_rows.real, -x_rows.imag], axis=1) / FOURIER_FACTOR
+        return cos_sin @ np.concatenate([lines.real, lines.imag]).reshape(2 * m, n * n)
+
+    def _grid_sup(self, n: int) -> float:
+        """max |value| over the n^3 grid of ``grid_values(n)``, from half of it.
+
+        The coefficients are real, so the real part the transform returns is
+        even, f(-x) = f(x), whatever the table: the rows ix = 0..n//2 hold
+        every value of the grid up to that reflection, and only those
+        (n//2 + 1) n^2 values are sampled.
+        """
+        vals = self._grid_rows(n, n // 2 + 1)
+        return float(np.max(np.abs(vals, out=vals)))
 
     # -- exact coefficient-side norms -------------------------------------------
     def squared_l2(self) -> float:
@@ -252,6 +274,29 @@ class EffectivePotential:
         return self.base.coefficient(k)
 
 
+def _mode_d1(v: FourierPotential, kf2,
+             table: LuneSumTable | None) -> tuple[float, list[tuple[IVec, float, float]]]:
+    """k_F and (k, c_V(k), d1(k, kf2)) for each nonzero mode k != 0 of v.
+
+    kf2 is checked before its square root is taken: ValidationError unless
+    it is positive. The lune sums are invariant under signed coordinate
+    permutations, so d1 is looked up once per canonical class. The modes are
+    the table's own keys, grouped without validating them again; the lookup
+    still validates each class representative.
+    """
+    kf2 = _check_kf2(kf2)
+    by_class: dict[IVec, float] = {}
+    terms = []
+    for k, c in v.items():
+        if k == (0, 0, 0) or c == 0.0:
+            continue
+        ck = _canonical(k)
+        if ck not in by_class:
+            by_class[ck] = resolvent_sum(1, ck, kf2, table=table)
+        terms.append((k, c, by_class[ck]))
+    return math.sqrt(kf2), terms
+
+
 def effective_potential_kF(v: FourierPotential, kf2,
                            table: LuneSumTable | None = None) -> EffectivePotential:
     """Mediated potential of the Fermi sea with |k_F|^2 = kf2.
@@ -259,12 +304,9 @@ def effective_potential_kF(v: FourierPotential, kf2,
     Coefficient at mode k != 0: (2 pi)^{3/2} |c_V(k)|^2 d1(k, kf2) / (2 pi k_F);
     the zero mode vanishes identically (the lune at k = 0 is empty).
     """
-    k_fermi = math.sqrt(kf2)
+    k_fermi, terms = _mode_d1(v, kf2, table)
     out: dict[IVec, float] = {}
-    for k, c in v.items():
-        if k == (0, 0, 0) or c == 0.0:
-            continue
-        d1 = resolvent_sum(1, k, kf2, table=table)
+    for k, c, d1 in terms:
         val = FOURIER_FACTOR * c * c * d1 / (2.0 * math.pi * k_fermi)
         if val != 0.0:
             out[k] = val
@@ -303,16 +345,16 @@ def sup_difference(v: FourierPotential, kf2, table: LuneSumTable | None = None,
     The difference has coefficients (2 pi)^{3/2}|c_V(k)|^2 (d1/(2 pi k_F) - 1)
     over k != 0, so its sup is at most the l1 sum
     sum_{k != 0} |c_V(k)|^2 |d1(k)/(2 pi k_F) - 1| (``bound``); sampling the
-    difference on a grid of ``grid_n``^3 points gives a certified lower bound
-    (``grid_lower``).
+    difference on the grid of ``n = max(grid_n, 2 cutoff + 1)`` points per
+    axis gives a certified lower bound (``grid_lower``). The difference is
+    even, so the sample runs over the half grid ix = 0..n//2
+    (``FourierPotential._grid_sup``): (n//2 + 1) n^2 values, not n^3. The
+    lune sums d1 are looked up once per canonical class of modes.
     """
-    k_fermi = math.sqrt(kf2)
+    k_fermi, terms = _mode_d1(v, kf2, table)
     total = []
     diff_table: dict[IVec, float] = {}
-    for k, c in v.items():
-        if k == (0, 0, 0) or c == 0.0:
-            continue
-        d1 = resolvent_sum(1, k, kf2, table=table)
+    for k, c, d1 in terms:
         dev = d1 / (2.0 * math.pi * k_fermi) - 1.0
         total.append(c * c * abs(dev))
         val = FOURIER_FACTOR * c * c * dev
@@ -321,7 +363,7 @@ def sup_difference(v: FourierPotential, kf2, table: LuneSumTable | None = None,
     bound = float(math.fsum(total))
     diff = FourierPotential(v.cutoff, diff_table)
     n = max(grid_n, 2 * v.cutoff + 1)
-    grid_lower = float(np.max(np.abs(diff.grid_values(n)))) if diff_table else 0.0
+    grid_lower = diff._grid_sup(n) if diff_table else 0.0
     return SupDifference(bound=bound, grid_lower=grid_lower)
 
 

@@ -240,6 +240,45 @@ def test_effpot_csv_format(runner, fourier_files, tmp_path):
     assert len(lines) == 3 + 2  # +-e1 rows
 
 
+def test_effpot_csv_matches_json(runner, tmp_path):
+    v = from_coefficients({(0, 0, 0): 0.5, (1, 0, 0): 0.3, (1, 1, 0): -0.2, (2, 0, 1): 0.07},
+                          cutoff=2, label="mixed")
+    path = str(tmp_path / "mixed.json")
+    save_fourier(v, path)
+    args = ["effpot", "--V", path, "--kf2", "49", "--kf2", "4", "--kf2", "400"]
+    as_json = runner.invoke(main, args)
+    as_csv = runner.invoke(main, args + ["--format", "csv"])
+    assert as_json.exit_code == 0 and as_csv.exit_code == 0
+    want = [(row["kF_squared"], kx, ky, kz, c, row["at_zero"], row["sup_difference_bound"],
+             row["sup_difference_grid_lower"])
+            for row in json.loads(as_json.output)["rows"]
+            for kx, ky, kz, c in row["coefficients"]]
+    lines = [line for line in as_csv.output.splitlines() if not line.startswith("#")]
+    assert lines[0] == ("kF_squared,kx,ky,kz,coefficient,at_zero,"
+                        "sup_difference_bound,sup_difference_grid_lower")
+    got = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        got.append(tuple(int(x) for x in cells[:4]) + tuple(float(x) for x in cells[4:]))
+    assert len(got) == 3 * 6  # three sweep rows of the six nonzero modes
+    assert got == want  # repr floats round-trip, so every value matches exactly
+
+
+@pytest.mark.parametrize("kf2_args", [["--kf2=-4"], ["--kf2", "-4"], ["--kf2", "0"],
+                                      ["--kf2", "100", "--kf2", "0"]])
+@pytest.mark.parametrize("coeffs", [{(0, 0, 0): 0.5}, {(0, 0, 0): 0.5, (1, 0, 0): 0.3}],
+                         ids=["zero_mode_only", "nonzero_mode"])
+def test_effpot_nonpositive_kf2_is_usage_error(runner, tmp_path, kf2_args, coeffs):
+    path = str(tmp_path / "v.json")
+    save_fourier(from_coefficients(coeffs, cutoff=1), path)
+    out = str(tmp_path / "eff.json")
+    result = runner.invoke(main, ["effpot", "--V", path, "--out", out] + kf2_args)
+    assert result.exit_code == 2
+    assert "kf2" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # scatter
 

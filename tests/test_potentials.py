@@ -27,7 +27,7 @@ from bfmix.potentials import (
     zero_potential,
 )
 from bfmix.scattering import RadialProfile
-from bfmix.util import rng
+from bfmix.util import _neg, rng
 
 # Frozen oracles for the single-mode potential c at modes +-e1:
 #   V(x) = (2 pi)^{-3/2} * 2 c cos(x1)
@@ -135,6 +135,66 @@ def effpot_warm_potential() -> FourierPotential:
     return from_coefficients(entries, cutoff=2, label="V")
 
 
+def full_grid_sup(v: FourierPotential, n: int) -> float:
+    """Oracle: max |value| over every point of the n^3 grid."""
+    return float(np.max(np.abs(v.grid_values(n))))
+
+
+def single_transform_grid_values(v: FourierPotential, n: int) -> np.ndarray:
+    """Oracle: the separable transform as one routine over all n x rows, as
+    grid_values computed it before it became the all-rows case of the
+    row-restricted transform; pins grid_values' bytes."""
+    K = v.cutoff
+    m = 2 * K + 1
+    cube = np.zeros((m, m, m))
+    for (kx, ky, kz), c in v.coeffs.items():
+        cube[kx + K, ky + K, kz + K] = c
+    phase = np.exp((2j * math.pi / n) * (np.outer(np.arange(-K, K + 1), np.arange(n)) % n))
+    lines = phase.T @ (cube @ phase)
+    rows = np.concatenate([phase.real.T, -phase.imag.T], axis=1) / FOURIER_FACTOR
+    vals = rows @ np.concatenate([lines.real, lines.imag]).reshape(2 * m, n * n)
+    return vals.reshape(n, n, n)
+
+
+def random_real_table(index: int) -> tuple[FourierPotential, int]:
+    """A seeded table of real coefficients and a grid size for it.
+
+    Even indices are lopsided (k stored without -k, so the potential is not
+    even); n cycles through 2*cutoff+1, 2*cutoff+2, 2*cutoff+3, 16, 17, 33.
+    """
+    gen = rng(2026, index)
+    cutoff = int(gen.integers(0, 4))
+    m = 2 * cutoff + 1
+    n = (m, m + 1, m + 2, 16, 17, 33)[(index // 2) % 6]
+    coeffs = {}
+    for _ in range(int(gen.integers(1, min(24, m**3) + 1))):
+        k = tuple(int(x) for x in gen.integers(-cutoff, cutoff + 1, size=3))
+        coeffs[k] = float(gen.normal())
+        if index % 2:
+            coeffs[(-k[0], -k[1], -k[2])] = coeffs[k]
+    return FourierPotential(cutoff, coeffs), n
+
+
+def per_mode_reference(v: FourierPotential, kf2):
+    """Mediated coefficients, sup-difference table and bound from one lune
+    lookup per mode, as the potentials layer computed them before it looked
+    up one lune per symmetry class."""
+    from bfmix.lattice import LuneSumTable, resolvent_sum
+
+    table = LuneSumTable(cache_dir=None)
+    k_fermi = math.sqrt(kf2)
+    mediated, diff, total = {}, {}, []
+    for k, c in v.items():
+        if k == (0, 0, 0):
+            continue
+        d1 = resolvent_sum(1, k, kf2, table=table)
+        mediated[k] = FOURIER_FACTOR * c * c * d1 / (2.0 * math.pi * k_fermi)
+        dev = d1 / (2.0 * math.pi * k_fermi) - 1.0
+        total.append(c * c * abs(dev))
+        diff[k] = FOURIER_FACTOR * c * c * dev
+    return mediated, FourierPotential(v.cutoff, diff), math.fsum(total)
+
+
 class TestGridOracle:
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
     def test_matches_dense_ifftn(self, cutoff):
@@ -183,6 +243,33 @@ class TestGridOracle:
         oracle = float(np.max(np.abs(dense_grid_values(FourierPotential(2, diff), 64))))
         got = sup_difference(v, kf2, grid_n=64).grid_lower
         assert got == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 3])
+    def test_grid_values_bytes_unchanged(self, cutoff):
+        v = full_cube(cutoff, cutoff)
+        for n in sorted({2 * cutoff + 1, 2 * cutoff + 2, 16, 33, 64}):
+            want = single_transform_grid_values(v, n)
+            assert v.grid_values(n).tobytes() == want.tobytes(), f"cutoff {cutoff}, n {n}"
+
+    @pytest.mark.parametrize("kf2", [100, 475, 1100, 1850, 2575])
+    def test_half_grid_bit_equal_on_benchmark_potential(self, kf2):
+        _, diff, _ = per_mode_reference(effpot_warm_potential(), kf2)
+        assert diff._grid_sup(64) == full_grid_sup(diff, 64)
+        got = sup_difference(effpot_warm_potential(), kf2, grid_n=64).grid_lower
+        assert got == full_grid_sup(diff, 64)
+
+    def test_half_grid_matches_full_grid_on_random_tables(self):
+        # Re f(-x) = f(x) holds exactly for real coefficients; the two mirror
+        # rows differ only by the rounding of their phase factors.
+        lopsided = 0
+        for index in range(400):
+            v, n = random_real_table(index)
+            lopsided += any(_neg(k) not in v.coeffs for k in v.coeffs)
+            want = full_grid_sup(v, n)
+            got = v._grid_sup(n)
+            assert want > 0.0
+            assert abs(got - want) <= 1e-15 * want, (index, got, want)
+        assert lopsided >= 150
 
 
 class TestConvolve:
@@ -324,6 +411,48 @@ class TestSupDifference:
             v = random_sparse(60 + idx, cutoff=2, n_modes=5)
             sd = sup_difference(v, 2)
             assert sd.grid_lower <= sd.bound * (1.0 + 1e-12)
+
+
+class TestLuneLookups:
+    CLASSES = {(0, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 2)}
+
+    @pytest.mark.parametrize("kf2", [100, 400, 1600])
+    def test_one_lookup_per_class_same_bits(self, kf2, monkeypatch):
+        from bfmix.lattice import LuneSumTable
+
+        monkeypatch.delenv("BFMIX_CACHE_DIR", raising=False)
+
+        class CountingTable(LuneSumTable):
+            def __init__(self):
+                super().__init__(cache_dir=None)
+                self.lookups = []
+
+            def sum(self, alpha, k, kf2, lam2=None, threads=1):
+                self.lookups.append(tuple(k))
+                return super().sum(alpha, k, kf2, lam2, threads)
+
+        v = effpot_warm_potential()
+        table = CountingTable()
+        eff = effective_potential_kF(v, kf2, table=table)
+        sd = sup_difference(v, kf2, table=table, grid_n=64)
+        # 32 nonzero modes in 4 symmetry classes, for each of the two calls
+        assert len(table.lookups) == 8
+        assert set(table.lookups) == self.CLASSES
+        mediated, _, bound = per_mode_reference(v, kf2)
+        assert eff.base.coeffs == mediated
+        assert sd.bound == bound
+
+    @pytest.mark.parametrize("kf2", [-4, 0, 0.0, -0.5])
+    @pytest.mark.parametrize("v", [
+        zero_potential(1),
+        from_coefficients([((0, 0, 0), 0.5)], cutoff=1),
+        single_mode(),
+    ], ids=["empty", "zero_mode_only", "nonzero_mode"])
+    def test_nonpositive_kf2_rejected(self, v, kf2):
+        with pytest.raises(ValidationError, match="kf2"):
+            effective_potential_kF(v, kf2)
+        with pytest.raises(ValidationError, match="kf2"):
+            sup_difference(v, kf2)
 
 
 class TestNorms:
