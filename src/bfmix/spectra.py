@@ -130,6 +130,9 @@ class EigenResult:
 
 
 DENSE_CUTOFF = 200  # largest dimension that ``method="auto"`` solves densely
+# Shift of the n = 1 Jacobi preconditioner diag(1 / (d - min d + JACOBI_SHIFT)):
+# the smallest nonzero lattice kinetic gap, since |p|^2 takes integer values.
+JACOBI_SHIFT = 1.0
 
 
 def _fix_gauge(vec: np.ndarray) -> np.ndarray:
@@ -153,8 +156,11 @@ def lowest_eigenvalues(
     ``method`` may be ``"auto"`` (dense up to ``DENSE_CUTOFF`` = 200
     dimensions, iterative beyond), ``"dense"``, or ``"lanczos"``, the
     historical name of the iterative path, which runs LOBPCG on a seeded
-    random start block for at most ``max_iter`` iterations; for ``n >= 2``
-    the block carries one guard vector past the ``n`` wanted.  Both paths
+    random start block for at most ``max_iter`` iterations.  For ``n = 1``
+    LOBPCG is preconditioned by ``diag(1 / (d - min d + JACOBI_SHIFT))``,
+    ``d`` the operator's diagonal; for ``n >= 2`` the block carries one
+    guard vector past the ``n`` wanted and runs unpreconditioned, since a
+    preconditioned block can stall on a degenerate cluster.  Both paths
     are deterministic for a fixed ``seed``; results carry true residuals
     recomputed from the operator.  Raises
     :class:`~bfmix.errors.ConvergenceError` (with all ``n`` estimates
@@ -185,9 +191,16 @@ def lowest_eigenvalues(
         # For n >= 2 the block carries a guard vector past the n wanted
         # (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)): a block that ends
         # inside a cluster of (near-)degenerate eigenvalues converges slowly.
-        # n = 1 keeps its block of one, bit for bit.
+        # A block of one is preconditioned by the inverse shifted diagonal,
+        # the integer particle-hole kinetic energies that dominate the
+        # operator; n >= 2 runs unpreconditioned, because a preconditioned
+        # block stalls at the edge of a degenerate cluster.
         width = 1 if n == 1 else n + 1
         mat, start = op.matrix(), rng(seed, 0).standard_normal((dim, width))
+        precond = None
+        if n == 1:
+            d = mat.diagonal()
+            precond = sp.diags(1.0 / (d - d.min() + JACOBI_SHIFT))
         # LOBPCG's own stopping test and its warnings are advisory: the
         # true-residual gate below is the only judge of convergence.
         with warnings.catch_warnings():
@@ -196,6 +209,7 @@ def lowest_eigenvalues(
                 vals, vecs, *history = lobpcg(
                     mat,
                     start,
+                    M=precond,
                     largest=False,
                     tol=tol,
                     maxiter=max_iter,

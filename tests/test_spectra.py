@@ -492,7 +492,8 @@ def test_compare_first_iterative_row_converges():
 
 def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
     # kf2 9, 16 and 25 are past the dense cutoff: ``auto`` runs LOBPCG,
-    # which must agree with a full eigh of the same Hamiltonian.  n >= 2
+    # which must agree with a full eigh of the same Hamiltonian.  n = 1 is
+    # Jacobi-preconditioned: 12-13 LOBPCG iterations (49-69 without).  n >= 2
     # blocks carry a guard vector: 206 LOBPCG iterations for n = 2 at kf2 16
     # (585 with a block of exactly n).
     v, w = single_mode_v(), sample_w()
@@ -510,11 +511,47 @@ def test_compare_rows_past_the_dense_cutoff_use_lobpcg():
             assert row.dims["full"] == dim
             assert row.method_h == "lanczos"
             assert row.iterations_h > 0
+            if n == 1:
+                assert row.iterations_h <= 20
             assert row.method_eff == "dense"
             assert len(row.mu_h) == n
             assert max(row.residuals_h) <= 1e-9
             for got, want in zip(row.mu_h, dense[row.kf2]):
                 assert abs(got - want) <= 1e-9
+
+
+def _edge_operators(kf2):
+    """Compare-row operators with v, w or both switched off, and a diagonal
+    one whose zero level is ten-fold or more degenerate."""
+    ms = ModeSet.ball(default_cutoff_rule(kf2), kf2)
+    bm = reachable_boson_modes(ms, (single_mode_v(), sample_w()), 2)
+    basis = FockBasis(ms, bm, 2, 1, momentum_sector=(0, 0, 0))
+    lam, zero = coupling_scale(2, kf2), zero_potential(1)
+    ops = {
+        "v=w=0": hamiltonian(basis, zero, zero, lam=lam),
+        "v=0": hamiltonian(basis, zero, sample_w(), lam=lam),
+        "w=0": hamiltonian(basis, single_mode_v(), zero, lam=lam),
+    }
+    # v = w = 0 leaves the even integer kinetic energies on the diagonal, with
+    # the bare condensate alone at 0; merging the levels 0 and 2 makes the
+    # ground level degenerate, so d - min(d) holds repeated zeros.
+    kinetic = ops["v=w=0"].matrix().diagonal()
+    ops["degenerate"] = _MatrixHandle(sp.diags(np.maximum(kinetic - 2.0, 0.0)))
+    return ops
+
+
+@pytest.mark.parametrize("kf2", [9, 25])
+def test_preconditioned_lobpcg_on_edge_operators(kf2):
+    # The n = 1 Jacobi preconditioner diag(1 / (d - min d + 1)) must also
+    # converge where the operator is diagonal or one coupling is off.
+    tol = 1e-10
+    for name, op in _edge_operators(kf2).items():
+        assert op.basis.dimension > 200, name
+        res = lowest_eigenvalues(op, tol=tol)
+        assert res.method == "lanczos", name
+        assert res.residuals[0] <= 10 * tol * max(1.0, abs(res.values[0])), name
+        dense = lowest_eigenvalues(op, method="dense")
+        assert abs(res.values[0] - dense.values[0]) <= 1e-9, name
 
 
 def test_lobpcg_guard_vector_resolves_a_split_cluster():
