@@ -23,6 +23,19 @@ Pair operators cost O(nnz) array work per pair level to assemble; the
 per-transition generators they replaced are the oracle in
 ``tests/fock_oracles.py``.
 
+Block layout
+------------
+A :class:`FockBasis` is a run of excitation blocks in (pair count, particle
+indices, hole indices) order; a block holds the boson configurations of one
+momentum class at consecutive state indices.  The layout exists only as
+arrays: per pair level a ``_Level`` (the blocks' particle and hole ModeSet
+indices, their sorted integer keys, the level's first block index), per block
+its class id ``_cid`` and first state index ``_starts``, and per class id
+its boson configurations ``_members``.  :meth:`FockBasis.block` maps one
+block, given as sorted particle and hole ModeSet indices, to its state
+indices and boson-configuration indices (None when the basis lacks it); code
+outside this module reads blocks only through it.
+
 Operator kinds
 --------------
 ``boson_kinetic``          kinetic energy of the bosons (diagonal)
@@ -46,13 +59,13 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapacityError, ValidationError
-from .potentials import FOURIER_FACTOR, FourierPotential, coupling_scale
+from .lattice import _ball_points
+from .potentials import FOURIER_FACTOR, FourierPotential, default_coupling
 from .util import IVec, _add, _ivec, _neg, _norm2, _sub, rng
 
 _ZERO: IVec = (0, 0, 0)
@@ -115,19 +128,14 @@ class ModeSet:
         """All modes with ``|k|**2 <= max_norm2``, sorted by (norm, lex)."""
         if max_norm2 < 0:
             raise ValidationError("max_norm2 must be nonnegative")
-        r = int(math.isqrt(int(max_norm2)))
-        modes = [
-            (x, y, z)
-            for x in range(-r, r + 1)
-            for y in range(-r, r + 1)
-            for z in range(-r, r + 1)
-            if x * x + y * y + z * z <= max_norm2
-        ]
-        modes.sort(key=lambda m: (_norm2(m), m))
+        pts = _ball_points(max_norm2)
+        pts = pts[np.lexsort((*pts.T[::-1], (pts * pts).sum(axis=1)))]
+        modes = tuple(zip(*pts.T.tolist()))
+        del pts  # 7 MB at kf2 1600 that _fill does not need
         # the tuples are distinct int triples closed under negation: skip
         # the per-mode validation of __init__
         ms = cls.__new__(cls)
-        ms._fill(tuple(modes), cls._checked_kf2(kf2))
+        ms._fill(modes, cls._checked_kf2(kf2))
         return ms
 
     def __len__(self) -> int:
@@ -322,6 +330,14 @@ class _Level:
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
         return np.where(self.keys[pos] == key, self.first + pos, -1)
 
+    def index(self, parts, holes) -> int:
+        """:meth:`find` for one block given as index sequences."""
+        key = 0
+        for i in (*parts, *holes):
+            key = key * self.base + i
+        pos = int(np.searchsorted(self.keys, key))
+        return self.first + pos if pos < len(self.keys) and self.keys[pos] == key else -1
+
 
 def _sign_create(occ: tuple[int, ...], j: int):
     """Apply a creation operator at ModeSet index ``j`` to an occupied tuple."""
@@ -377,25 +393,24 @@ class FockBasis:
         )
         self._boson = _BosonSpace(bmodes, self.n_bosons)
 
-        # Boson momentum classes.  With no sector restriction a single class
-        # (key None) holds every configuration.
-        if self.momentum_sector is None:
-            self._classes = {None: list(range(len(self._boson.configs)))}
-        else:
-            classes: dict[IVec, list[int]] = {}
-            for b, mom in enumerate(self._boson.momenta):
-                classes.setdefault(mom, []).append(b)
-            self._classes = classes
+        # Boson momentum classes: key -> class id, and the configurations of
+        # each class id.  With no sector restriction a single class (key
+        # None) holds every configuration.
+        classes: dict = {}
+        for b, mom in enumerate(self._boson.momenta):
+            key = None if self.momentum_sector is None else mom
+            classes.setdefault(key, []).append(b)
+        self._class_id = {key: c for c, key in enumerate(classes)}
+        self._members = tuple(np.array(m) for m in classes.values())
         self._bcid = np.empty(len(self._boson.configs), dtype=np.int64)
         self._bpos = np.empty_like(self._bcid)
-        for c, members in enumerate(self._classes.values()):
+        for c, members in enumerate(self._members):
             self._bcid[members], self._bpos[members] = c, np.arange(len(members))
 
         modes = np.array(mode_set.modes, dtype=np.int64)
         outside = mode_set.outside_indices
         inside = mode_set.inside_indices
-        self._class_id = {key: c for c, key in enumerate(self._classes)}
-        self._sizes = np.array([len(m) for m in self._classes.values()])
+        self._sizes = np.array([len(m) for m in self._members])
         top = min(self.max_pairs, len(outside), len(inside))
 
         # Dimension first, from counts alone, so the cap is checked before
@@ -443,9 +458,6 @@ class FockBasis:
         self._cid = np.concatenate(cids)
         sizes = self._sizes[self._cid]
         self._starts = np.cumsum(sizes) - sizes
-        keys = list(self._classes)
-        self._block_class = [keys[c] for c in self._cid.tolist()]
-        self._block_start = self._starts.tolist()
         n2 = (modes * modes).sum(axis=1)
         self._t_diag = np.concatenate(
             [(n2[v.parts].sum(1) - n2[v.holes].sum(1)).astype(float) for v in levels]
@@ -460,7 +472,7 @@ class FockBasis:
         parts = _combinations(self.mode_set.outside_indices, p)
         holes = _combinations(self.mode_set.inside_indices, p)
         h_code, h_mom = _row_codes(modes[holes].sum(axis=1))
-        qs = np.array([key or _ZERO for key in self._classes], dtype=np.int64)
+        qs = np.array([key or _ZERO for key in self._class_id], dtype=np.int64)
         want = np.add(self.momentum_sector or _ZERO, h_mom)[:, None] - qs
         codes = _row_codes(np.concatenate([modes[parts].sum(1), want.reshape(-1, 3)]))[0]
         have, want = codes[: len(parts)], codes[len(parts) :].reshape(len(h_mom), -1)
@@ -469,39 +481,44 @@ class FockBasis:
         return (parts, holes, np.argsort(h_code, kind="stable"), np.bincount(h_code),
                 order, have.searchsorted(want), have.searchsorted(want, "right"))
 
-    @cached_property
-    def _exc(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The ``(parts, holes)`` index tuples of the blocks."""
-        t = [(map(tuple, v.parts.tolist()), map(tuple, v.holes.tolist())) for v in self._levels]
-        return [cfg for pair in t for cfg in zip(*pair)]
-
-    @cached_property
-    def _exc_index(self) -> dict:
-        return dict(zip(self._exc, range(len(self._exc))))
-
     # -- lookup ---------------------------------------------------------
+    def block(self, parts, holes) -> tuple[np.ndarray, np.ndarray] | None:
+        """State indices and boson-configuration indices of the excitation
+        block with sorted particle and hole ModeSet indices ``parts`` and
+        ``holes``; None when the basis has no such block."""
+        p = len(parts)
+        if p != len(holes) or p >= len(self._levels):
+            return None
+        e = self._levels[p].index(parts, holes)
+        if e < 0:
+            return None
+        configs = self._members[self._cid[e]]
+        return self._starts[e] + np.arange(len(configs)), configs
+
     def state_at(self, i: int) -> tuple[BosonConfig, ExcitationConfig]:
         if not 0 <= i < self.dimension:
             raise ValidationError("state index out of range")
-        e = bisect_left(self._block_start, i + 1) - 1
-        b = self._classes[self._block_class[e]][i - self._block_start[e]]
-        parts, holes = self._exc[e]
+        e = int(np.searchsorted(self._starts, i, "right")) - 1
+        lev = next(v for v in self._levels if e < v.first + len(v.keys))
+        configs = self._members[self._cid[e]]
         modes = self.mode_set.modes
         return (
-            BosonConfig(self._boson.configs[b]),
+            BosonConfig(self._boson.configs[configs[i - self._starts[e]]]),
             ExcitationConfig(
-                tuple(modes[j] for j in parts), tuple(modes[j] for j in holes)
+                tuple(modes[j] for j in lev.parts[e - lev.first].tolist()),
+                tuple(modes[j] for j in lev.holes[e - lev.first].tolist()),
             ),
         )
 
     def index_of(self, boson: BosonConfig, excitation: ExcitationConfig) -> int:
         b = self._boson.index.get(tuple(boson.occupations))
-        parts = tuple(sorted(self.mode_set.index_of(m) for m in excitation.particles))
-        holes = tuple(sorted(self.mode_set.index_of(m) for m in excitation.holes))
-        e = self._exc_index.get((parts, holes))
-        if b is None or e is None or self._bcid[b] != self._cid[e]:
+        found = self.block(
+            sorted(self.mode_set.index_of(m) for m in excitation.particles),
+            sorted(self.mode_set.index_of(m) for m in excitation.holes),
+        )
+        if b is None or found is None or b not in found[1]:
             raise ValidationError("state is not part of this basis")
-        return self._block_start[e] + int(self._bpos[b])
+        return int(found[0][self._bpos[b]])
 
     @property
     def states(self) -> list[tuple[BosonConfig, ExcitationConfig]]:
@@ -540,7 +557,7 @@ class FockBasis:
             return {}
         to, src, vals = map(np.array, zip(*entries))
         grouped = {}
-        for c, key in enumerate(self._classes):
+        for c, key in enumerate(self._class_id):
             to_key = None if key is None else _sub(key, m)
             sel = self._bcid[src] == c
             if to_key in self._class_id and sel.any():
@@ -730,11 +747,7 @@ class OperatorHandle:
             "full_hamiltonian",
             "conjugated_hamiltonian",
         ):
-            lam = (
-                coupling_scale(basis.n_bosons, basis.mode_set.kf2)
-                if basis.n_bosons >= 1
-                else 0.0
-            )
+            lam = default_coupling(basis.n_bosons, basis.mode_set.kf2)
         self.lam = lam
         self._max_dimension = max_dimension
         self._matrix: sp.csr_matrix | None = None
@@ -814,7 +827,7 @@ def _expand_diag(basis: FockBasis, per_exc: np.ndarray | None,
     if per_exc is not None:
         diag += np.repeat(per_exc, basis._sizes[basis._cid])
     if per_boson is not None:
-        for c, members in enumerate(basis._classes.values()):
+        for c, members in enumerate(basis._members):
             at = basis._starts[basis._cid == c, None] + np.arange(len(members))
             diag[at] += per_boson[members]
     return diag
@@ -1025,25 +1038,22 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
             cols.append(bf + off)
             data.append(bv)
 
-    # Coupling hops l != j with the boson shift S_{l-j}.
-    vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
+    # Coupling hops l != j with the boson shift S_{l-j}, whose (to, from,
+    # value) arrays are built once per δ.
+    hops = []
+    for delta, coeff in v.items():
+        if delta != _ZERO and (shift := bspace.shift_entries(delta)):
+            hops.append((delta, coeff, *map(np.array, zip(*shift))))
     for f_from, cfg in enumerate(basis.fermion_configs):
         occ_set = set(cfg)
         for j_idx in cfg:
-            for delta, coeff in vmodes:
-                l_mode = _add(modes[j_idx], delta)
-                l_idx = ms._index.get(l_mode)
+            for delta, coeff, bt, bf, bv in hops:
+                l_idx = ms._index.get(_add(modes[j_idx], delta))
                 if l_idx is None or l_idx in occ_set:
                     continue
                 s1, occ1 = _sign_annihilate(cfg, j_idx)
                 s2, new_cfg = _sign_create(occ1, l_idx)
                 f_to = basis.fermion_index[new_cfg]
-                shift = bspace.shift_entries(delta)
-                if not shift:
-                    continue
-                bt = np.array([t for t, _, _ in shift], dtype=np.int64)
-                bf = np.array([f for _, f, _ in shift], dtype=np.int64)
-                bv = np.array([x for _, _, x in shift])
                 rows.append(bt + f_to * nb)
                 cols.append(bf + f_from * nb)
                 data.append(lam * coeff * s1 * s2 * bv)
@@ -1079,24 +1089,22 @@ def _conjugated_matrix(op: OperatorHandle) -> sp.csr_matrix:
         max_dimension=op._max_dimension,
     ).matrix()
     nb = basis.boson_dimension
-    rows = []
-    cols = []
-    vals = []
-    for e, (parts, holes) in enumerate(basis._exc):
-        occupied = tuple(sorted(parts + holes))
-        sign, image = _ph_image(occupied, ms.inside_indices)
-        f_idx = phys.fermion_index.get(image)
-        if f_idx is None:
-            raise ValidationError(
-                "particle-hole image leaves the fermion sector"
-            )
-        start = basis._block_start[e]
-        for pos in range(nb):
-            rows.append(f_idx * nb + pos)
-            cols.append(start + pos)
-            vals.append(float(sign))
+    rows, cols, vals = [], [], []
+    for lev in basis._levels:
+        for parts, holes in zip(lev.parts.tolist(), lev.holes.tolist()):
+            sign, image = _ph_image(tuple(sorted(parts + holes)), ms.inside_indices)
+            f_idx = phys.fermion_index.get(image)
+            if f_idx is None:
+                raise ValidationError(
+                    "particle-hole image leaves the fermion sector"
+                )
+            states, configs = basis.block(parts, holes)
+            rows.append(f_idx * nb + configs)
+            cols.append(states)
+            vals.append(np.full(len(states), float(sign)))
     r = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(phys.dimension, basis.dimension)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(phys.dimension, basis.dimension),
     ).tocsr()
     return (r.T @ full @ r).tocsr()
 
@@ -1170,9 +1178,7 @@ def particle_hole_check(
     entry by entry.  Returns the maximum absolute deviation.
     """
     if lam is None:
-        lam = (
-            coupling_scale(n_bosons, mode_set.kf2) if n_bosons >= 1 else 0.0
-        )
+        lam = default_coupling(n_bosons, mode_set.kf2)
     m_tilde = mode_set.n_inside
     max_pairs = min(m_tilde, mode_set.n_outside)
     basis = build_basis(

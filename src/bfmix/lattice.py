@@ -83,57 +83,12 @@ def _isqrt_floor(x) -> int:
 # Fermi ball
 
 
-@dataclass(frozen=True)
-class FermiBall:
-    """The filled Fermi sea on the integer lattice.
-
-    Attributes
-    ----------
-    kf2 : squared Fermi momentum (ball radius squared).
-    points : (M, 3) int64 array of the modes, lexicographically sorted.
-    """
-
-    kf2: int | float
-    points: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Number of modes M in the ball."""
-        return int(self.points.shape[0])
-
-    @property
-    def kinetic_energy(self) -> int | float:
-        """Sum of |p|^2 over the ball (ground-state kinetic energy)."""
-        sq = np.sum(self.points * self.points, axis=1)
-        e = int(np.sum(sq))
-        return e
-
-    @property
-    def k_fermi(self) -> float:
-        return math.sqrt(self.kf2)
-
-
 def _ball_points(kf2) -> np.ndarray:
-    """Lexicographically sorted lattice points with |p|^2 <= kf2."""
+    """Lattice points with |p|^2 <= kf2 as an (M, 3) int64 array, in
+    lexicographic order."""
     r = _isqrt_floor(kf2)
-    axis = np.arange(-r, r + 1, dtype=np.int64)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    pts = pts[np.sum(pts * pts, axis=1) <= kf2]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    return pts[order]
-
-
-def fermi_ball(kf2) -> FermiBall:
-    """Enumerate the Fermi ball {p : |p|^2 <= kf2}.
-
-    Requires kf2 >= 1 so the ball contains more than the origin's shell
-    companions; smaller values are rejected.
-    """
-    kf2 = _check_kf2(kf2)
-    if kf2 < 1:
-        raise ValidationError(f"fermi_ball requires kf2 >= 1, got {kf2}")
-    return FermiBall(kf2=kf2, points=_ball_points(kf2))
+    sq = np.arange(-r, r + 1, dtype=np.int64) ** 2
+    return np.column_stack(np.nonzero(sq[:, None, None] + sq[:, None] + sq <= kf2)) - r
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,12 @@ def coupling_scale(n_bosons: int, kf2) -> float:
     return 1.0 / math.sqrt(4.0 * math.pi * n_bosons * math.sqrt(kf2))
 
 
+def default_coupling(n_bosons: int, kf2) -> float:
+    """The coupling a model takes when none is given: coupling_scale, and 0.0
+    without bosons."""
+    return coupling_scale(n_bosons, kf2) if n_bosons >= 1 else 0.0
+
+
 @dataclass(frozen=True)
 class FourierPotential:
     """Real even function on the torus stored as a finite coefficient table.

@@ -635,6 +635,8 @@ def collapse_scan(psi: RadialProfile, w: RadialProfile, v: RadialProfile,
     Pass ``vv`` to reuse a v*v already computed (e.g. by critical_couplings).
     A zero v leaves w on its own grid.
     """
+    if any(n < 1 for n in n_values):
+        raise ValidationError(f"every particle number N must be >= 1, got {list(n_values)}")
     norm2 = conv_at_zero(psi, psi)
     if norm2 <= 0.0:
         raise ValidationError("psi must be a nonzero profile")

@@ -53,7 +53,6 @@ from .fock import (
     FockBasis,
     ModeSet,
     _BosonSpace,
-    _expand_diag,
     hamiltonian,
     operator,
 )
@@ -61,6 +60,7 @@ from .lattice import lune_count
 from .potentials import (
     FourierPotential,
     coupling_scale,
+    default_coupling,
     effective_potential_kF,
     effective_potential_limit,
     linear_combination,
@@ -391,9 +391,7 @@ def make_trial_state(
             f"({len(algebra.configs)},)"
         )
     if lam is None:
-        lam = (
-            coupling_scale(n_bosons, mode_set.kf2) if n_bosons >= 1 else 0.0
-        )
+        lam = default_coupling(n_bosons, mode_set.kf2)
     channels: list[_PairChannel] = []
     for k, ck in sorted(v.items()):
         if k == (0, 0, 0) or ck == 0.0:
@@ -494,6 +492,11 @@ def trial_state_energy(trial: TrialState, w: FourierPotential) -> TrialEnergy:
     )
 
 
+def _nonzero_off(values: np.ndarray, configs: np.ndarray) -> bool:
+    """Whether ``values`` is nonzero at an index outside ``configs``."""
+    return np.count_nonzero(values) != np.count_nonzero(values[configs])
+
+
 def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
     """Expand a trial state into a coefficient vector on ``basis``.
 
@@ -515,17 +518,12 @@ def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
             "materializing a dressed state needs at least one pair"
         )
     vec = np.zeros(basis.dimension)
-    vacuum = basis._exc_index.get(((), ()))
-    if vacuum is None:  # pragma: no cover - vacuum always enumerated
+    vacuum = basis.block((), ())
+    if vacuum is None:
         raise ValidationError("basis has no vacuum excitation block")
-    key0 = basis._block_class[vacuum]
-    members0 = basis._classes[key0]
-    start0 = basis._block_start[vacuum]
-    placed = np.zeros(len(trial.algebra.configs), dtype=bool)
-    for pos, b in enumerate(members0):
-        vec[start0 + pos] = trial.phi[b]
-        placed[b] = True
-    if np.any(trial.phi[~placed] != 0.0):
+    states, configs = vacuum
+    vec[states] = trial.phi[configs]
+    if _nonzero_off(trial.phi, configs):
         raise ValidationError(
             "trial state has boson components outside the basis sector"
         )
@@ -533,21 +531,14 @@ def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
     for ch in trial.channels:
         target = trial.lam * ch.coefficient
         for p, d in ch.lune:
-            ip = ms.index_of(p)
-            ih = ms.index_of(_sub(p, ch.k))
-            e = basis._exc_index.get(((ip,), (ih,)))
-            if e is None:
+            found = basis.block((ms.index_of(p),), (ms.index_of(_sub(p, ch.k)),))
+            if found is None:
                 raise ValidationError(
                     "trial state dressing leaves the excitation basis"
                 )
-            key = basis._block_class[e]
-            members = basis._classes[key]
-            start = basis._block_start[e]
-            seen = np.zeros(len(trial.algebra.configs), dtype=bool)
-            for pos, b in enumerate(members):
-                vec[start + pos] = target / d * ch.shifted[b]
-                seen[b] = True
-            if np.any(ch.shifted[~seen] != 0.0):
+            states, configs = found
+            vec[states] = target / d * ch.shifted[configs]
+            if _nonzero_off(ch.shifted, configs):
                 raise ValidationError(
                     "trial state has boson components outside the basis sector"
                 )
@@ -887,6 +878,12 @@ def _coupling_modes(v: FourierPotential) -> list[tuple[IVec, float]]:
     ]
 
 
+def _diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Excitation kinetic energy and pair number of each basis state."""
+    return tuple(operator(kind, basis).matrix().diagonal()
+                 for kind in ("excitation_kinetic", "pair_number"))
+
+
 def _compare_row(
     v: FourierPotential,
     w: FourierPotential,
@@ -903,7 +900,7 @@ def _compare_row(
 ) -> SpectrumReport:
     mode_set = ModeSet.ball(lam2, kf2)
     bmodes = reachable_boson_modes(mode_set, (v, w), boson_cutoff)
-    lam = coupling_scale(n_bosons, kf2) if n_bosons >= 1 else 0.0
+    lam = default_coupling(n_bosons, kf2)
     eff = effective_potential_kF(v, kf2, table=table)
     w_eff = linear_combination(
         1.0, w, -1.0, eff.base, label="effective_pair_potential"
@@ -952,7 +949,8 @@ def _compare_row(
         )
         free_op = hamiltonian(free_basis, zero_potential(), w_eff, lam=0.0)
         mu_free = lowest_eigenvalues(free_op, n=1, tol=tol, seed=seed).values[0]
-        pair_ts = basis._t_diag[basis._pair_count >= 1]
+        t_diag, pair_count = _diagonals(basis)
+        pair_ts = t_diag[pair_count >= 1]
         t_min = float(pair_ts.min()) if pair_ts.size else 0.0
         if eig_eff.values[-1] <= mu_free + t_min + 1e-12:
             shortcut = True
@@ -979,19 +977,16 @@ def _compare_row(
         overlap = float(abs(psi_vac @ eig_eff.vectors[:, 0]))
 
     # Dressed trial state built on the effective ground vector.
-    members0 = basis0._classes[basis0._block_class[0]]
+    states0, configs0 = basis0.block((), ())
     alg_dim = basis0.boson_dimension
     phi_full = np.zeros(alg_dim)
-    for pos, b in enumerate(members0):
-        phi_full[b] = eig_eff.vectors[pos, 0]
+    phi_full[configs0] = eig_eff.vectors[states0, 0]
     trial = make_trial_state(phi_full, mode_set, bmodes, n_bosons, v, lam=lam)
     energy = trial_state_energy(trial, w)
 
     v0 = v.coefficient((0, 0, 0))
-    fermi_energy = float(
-        sum(_norm2(mode_set.modes[i]) for i in mode_set.inside_indices)
-    )
-    n_inside = len(mode_set.inside_indices)
+    fermi_energy = mode_set.fermi_energy
+    n_inside = mode_set.n_inside
     proxy = fermi_energy + lam * n_bosons * n_inside * v0 + mu_h[0]
     report = SpectrumReport(
         kf2=int(kf2),
@@ -1094,9 +1089,7 @@ def theorem1_compare(
                 SpectrumReport(
                     kf2=kf2,
                     lam2=lam2,
-                    lam=float(
-                        coupling_scale(n_bosons, kf2) if n_bosons >= 1 else 0.0
-                    ),
+                    lam=float(default_coupling(n_bosons, kf2)),
                     n_bosons=n_bosons,
                     max_pairs=max_pairs,
                     momentum_sector=(0, 0, 0),
@@ -1287,8 +1280,7 @@ def quadratic_decomposition_check(
     alg = basis1._boson  # the vacuum block holds every boson configuration
     nc = len(alg.configs)
     vp1 = operator("pair_create", basis1, v=v).matrix()
-    t1 = _expand_diag(basis1, basis1._t_diag, None)
-    pc1 = _expand_diag(basis1, basis1._pair_count, None)
+    t1, pc1 = _diagonals(basis1)
     safe_t1 = np.where(pc1 >= 1, t1, np.inf)
     eff = effective_potential_kF(v, kf2)
     lunes_complete = all(
@@ -1495,15 +1487,12 @@ def quadratic_decomposition_check(
     )
     vp2 = operator("pair_create", basis2, v=v).matrix()
     vm2 = operator("pair_annihilate", basis2, v=v).matrix()
-    t2 = _expand_diag(basis2, basis2._t_diag, None)
-    pc2 = _expand_diag(basis2, basis2._pair_count, None)
+    t2, pc2 = _diagonals(basis2)
     tinv2 = np.where(pc2 == 2, 1.0 / np.where(pc2 == 2, t2, 1.0), 0.0)
     product = vm2 @ sp.diags(tinv2).tocsr() @ vp2
     order = np.empty(dim1, dtype=int)
     for i, (ia, ib) in enumerate(pairs):
-        e = basis2._exc_index[((ia,), (ib,))]
-        start = basis2._block_start[e]
-        order[i * nc : (i + 1) * nc] = np.arange(start, start + nc)
+        order[i * nc : (i + 1) * nc] = basis2.block((ia,), (ib,))[0]
     prod_dense = product[order][:, order].toarray()
     block_sum = a1 + a2 + a3 + a4
     scale = 1.0 + float(np.max(np.abs(prod_dense))) if dim1 else 1.0
@@ -1522,8 +1511,7 @@ def quadratic_decomposition_check(
     )
     vps = operator("pair_create", basis2s, v=v).matrix()
     vms = operator("pair_annihilate", basis2s, v=v).matrix()
-    ts = _expand_diag(basis2s, basis2s._t_diag, None)
-    pcs = _expand_diag(basis2s, basis2s._pair_count, None)
+    ts, pcs = _diagonals(basis2s)
     sqrt_t = sp.diags(np.sqrt(ts)).tocsr()
     inv_half = sp.diags(
         np.where(pcs >= 1, 1.0 / np.sqrt(np.where(pcs >= 1, ts, 1.0)), 0.0)

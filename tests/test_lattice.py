@@ -10,6 +10,7 @@ import pytest
 
 from bfmix import lattice as lat
 from bfmix.errors import CapacityError, ValidationError
+from bfmix.fock import ModeSet
 from bfmix.util import content_hash, rng
 from lune_oracles import (
     joint_lune_sums,
@@ -49,27 +50,25 @@ def brute_force_lune(k, kf2, lam2=None):
 class TestFermiBall:
     def test_small_counts_and_energy(self):
         for kf2, m, e in [(1, 7, 6), (2, 19, 30), (4, 33, 78), (9, 123, 708)]:
-            ball = lat.fermi_ball(kf2)
-            assert ball.size == m
-            assert ball.kinetic_energy == e
+            ball = ModeSet.ball(kf2, kf2)
+            assert len(ball) == ball.n_inside == m
+            assert ball.fermi_energy == e
 
     def test_membership_and_order(self):
-        ball = lat.fermi_ball(9)
-        pts = ball.points
-        assert np.all(np.sum(pts * pts, axis=1) <= 9)
-        # lexicographic order, no duplicates
-        as_tuples = [tuple(p) for p in pts]
-        assert as_tuples == sorted(set(as_tuples))
+        modes = ModeSet.ball(9, 9).modes
+        assert all(x * x + y * y + z * z <= 9 for x, y, z in modes)
+        # (norm, lex) order, no duplicates
+        assert list(modes) == sorted(set(modes), key=lambda m: (sum(c * c for c in m), m))
         # negation closure
-        assert set(as_tuples) == {(-a, -b, -c) for (a, b, c) in as_tuples}
+        assert set(modes) == {(-a, -b, -c) for (a, b, c) in modes}
 
     def test_rejects_small_kf2(self):
         with pytest.raises(ValidationError):
-            lat.fermi_ball(0.5)
+            ModeSet.ball(0.5, 0.5)
         with pytest.raises(ValidationError):
-            lat.fermi_ball(0)
+            ModeSet.ball(0, 0)
         with pytest.raises(ValidationError):
-            lat.fermi_ball(-4)
+            ModeSet.ball(-4, -4)
 
 
 class TestLune:
@@ -364,7 +363,7 @@ class TestResolventSum:
                 g_cc_ref += 1.0 / (dk * (np.sum(p * p) - sl2))
         # common-hole sum
         g_bb_ref = 0.0
-        ball = lat.fermi_ball(kf2).points
+        ball = lat._ball_points(kf2)
         for h in ball:
             pk, pl = h + np.array(k), h + np.array(l)
             nk, nl = np.sum(pk * pk), np.sum(pl * pl)

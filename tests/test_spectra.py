@@ -1,12 +1,15 @@
 """Tests for eigensolvers, trial states, and spectrum comparison reports."""
 
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bfmix import spectra as spectra_module
 from bfmix.errors import (
     ConvergenceError,
     DegeneracyError,
@@ -771,3 +774,20 @@ def test_quadratic_decomposition_validation():
         quadratic_decomposition_check(single_mode_v(), 1, 0)
     with pytest.raises(ValidationError):
         quadratic_decomposition_check(single_mode_v(), 1, 4, lam2=4)
+
+
+def test_spectra_reads_bases_through_the_block_lookup():
+    # spectra reaches a FockBasis's blocks through FockBasis.block and its
+    # diagonals through operators; the block layout stays inside bfmix.fock.
+    tree = ast.parse(Path(spectra_module.__file__).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    layout = {"_classes", "_block_class", "_block_start", "_exc", "_exc_index",
+              "_t_diag", "_pair_count", "_expand_diag"}
+    assert named & layout == set()
