@@ -130,8 +130,12 @@ class ModeSet:
             raise ValidationError("max_norm2 must be nonnegative")
         pts = _ball_points(max_norm2)
         pts = pts[np.lexsort((*pts.T[::-1], (pts * pts).sum(axis=1)))]
-        modes = tuple(zip(*pts.T.tolist()))
+        # one Python int per coordinate value, shared by all the tuples
+        lo = int(pts.min())
+        cols = np.arange(lo, 1 - lo).astype(object)[pts.T - lo].tolist()
         del pts  # 7 MB at kf2 1600 that _fill does not need
+        modes = tuple(zip(*cols))
+        del cols
         # the tuples are distinct int triples closed under negation: skip
         # the per-mode validation of __init__
         ms = cls.__new__(cls)
@@ -330,14 +334,6 @@ class _Level:
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
         return np.where(self.keys[pos] == key, self.first + pos, -1)
 
-    def index(self, parts, holes) -> int:
-        """:meth:`find` for one block given as index sequences."""
-        key = 0
-        for i in (*parts, *holes):
-            key = key * self.base + i
-        pos = int(np.searchsorted(self.keys, key))
-        return self.first + pos if pos < len(self.keys) and self.keys[pos] == key else -1
-
 
 def _sign_create(occ: tuple[int, ...], j: int):
     """Apply a creation operator at ModeSet index ``j`` to an occupied tuple."""
@@ -489,7 +485,8 @@ class FockBasis:
         p = len(parts)
         if p != len(holes) or p >= len(self._levels):
             return None
-        e = self._levels[p].index(parts, holes)
+        rows = np.array([parts, holes], dtype=np.int64).reshape(2, 1, p)
+        e = int(self._levels[p].find(*rows)[0])
         if e < 0:
             return None
         configs = self._members[self._cid[e]]
@@ -499,7 +496,7 @@ class FockBasis:
         if not 0 <= i < self.dimension:
             raise ValidationError("state index out of range")
         e = int(np.searchsorted(self._starts, i, "right")) - 1
-        lev = next(v for v in self._levels if e < v.first + len(v.keys))
+        lev = self._levels[self._pair_count[e]]
         configs = self._members[self._cid[e]]
         modes = self.mode_set.modes
         return (

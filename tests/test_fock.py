@@ -99,6 +99,9 @@ class TestModeSet:
         assert ms.modes == tuple(ball_modes(max_norm2))
         assert _ball_points(max_norm2).tolist() == sorted(map(list, ms.modes))
         assert all(type(c) is int for m in ms.modes for c in m)
+        # one int object per coordinate value, not one per tuple entry
+        r = math.isqrt(int(max_norm2))
+        assert len({id(c) for m in ms.modes for c in m}) <= 2 * r + 1
         assert ms.inside_flags == tuple(sum(c * c for c in m) <= kf2 for m in ms.modes)
 
     def test_inside_outside_split(self):
