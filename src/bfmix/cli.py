@@ -473,8 +473,11 @@ _KNOWN_CHECKS = ("compare", "overlap", "decomposition")
 
 
 def _is_number(x, kind=(int, float)) -> bool:
-    """``x`` is an instance of ``kind`` but not a JSON ``true``/``false``."""
-    return isinstance(x, kind) and not isinstance(x, bool)
+    """``x`` is a finite instance of ``kind``, not a JSON ``true``/``false``
+    and not ``NaN`` or ``Infinity``."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
 
 
 def _load_experiment_config(path: str) -> dict:

@@ -23,6 +23,16 @@ Pair operators cost O(nnz) array work per pair level to assemble; the
 per-transition generators they replaced are the oracle in
 ``tests/fock_oracles.py``.
 
+Mode layout
+-----------
+A :class:`ModeSet` holds its modes only as arrays: ``points``, an ``(n, 3)``
+int64 array (in (norm, lex) order for :meth:`ModeSet.ball`), the bool mask
+``inside`` of the hole side, and the modes' sorted integer keys with their
+mode indices for a ``searchsorted`` lookup.  ``ModeSet._neighbours(k)``, the
+index of ``points[i] + k`` for every ``i``, is one shift of the sorted keys.
+The mode tuples ``ModeSet.modes`` are built on first use, by the small check
+paths and the CLI; the solver never builds them.
+
 Block layout
 ------------
 A :class:`FockBasis` is a run of excitation blocks in (pair count, particle
@@ -55,6 +65,7 @@ Operator kinds
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
@@ -66,150 +77,138 @@ import scipy.sparse as sp
 from .errors import CapacityError, ValidationError
 from .lattice import _ball_points
 from .potentials import FOURIER_FACTOR, FourierPotential, default_coupling
-from .util import IVec, _add, _ivec, _neg, _norm2, _sub, rng
+from .util import IVec, _add, _ivec, _neg, _sub, rng
 
 _ZERO: IVec = (0, 0, 0)
+
+
+# A mode's key is its dot product with _KEY_WEIGHTS.  For coordinates below
+# 2**20 in magnitude, distinct modes get distinct keys and key order is
+# lexicographic order.  Modes keep their coordinates below _LIMIT = 2**18, so
+# a shift by k with |k| < 2 * _LIMIT moves every key by k @ _KEY_WEIGHTS.
+_LIMIT = 1 << 18
+_KEY_WEIGHTS = np.array([1 << 42, 1 << 21, 1], dtype=np.int64)
 
 
 class ModeSet:
     """Ordered, distinct integer momentum modes split by the Fermi surface.
 
-    ``inside_flags[i]`` is True when ``|modes[i]|**2 <= kf2`` (hole side).
-    By default the set must be closed under negation so that every coupling
-    term has its adjoint in range; pass ``symmetric=False`` for deliberately
-    lopsided test sets.
+    ``points[i]`` is mode ``i`` and ``inside[i]`` is True when
+    ``|points[i]|**2 <= kf2`` (hole side).  By default the set must be
+    closed under negation so that every coupling term has its adjoint in
+    range; pass ``symmetric=False`` for deliberately lopsided test sets.
     """
 
     def __init__(self, modes, kf2: int, symmetric: bool = True):
-        kf2 = self._checked_kf2(kf2)
-        mode_list = tuple(_ivec(m) for m in modes)
-        if len(set(mode_list)) != len(mode_list):
-            raise ValidationError("modes must be distinct")
+        mode_list = [_ivec(m) for m in modes]
         if not mode_list:
             raise ValidationError("mode set must not be empty")
-        present = set(mode_list)
-        if symmetric:
-            for m in mode_list:
-                if _neg(m) not in present:
-                    raise ValidationError(
-                        f"mode set is not closed under negation: missing {_neg(m)}"
-                    )
-        self._fill(mode_list, kf2)
+        if max(abs(c) for m in mode_list for c in m) >= _LIMIT:
+            raise ValidationError(f"mode coordinates must be below {_LIMIT} in magnitude")
+        self._arrays(np.array(mode_list, dtype=np.int64), kf2)
+        if np.any(np.diff(self._keys) == 0):
+            raise ValidationError("modes must be distinct")
+        missing = self._lookup(-self.points @ _KEY_WEIGHTS) < 0
+        if symmetric and missing.any():
+            raise ValidationError(
+                f"mode set is not closed under negation: missing {_neg(mode_list[missing.argmax()])}"
+            )
 
     @staticmethod
     def _checked_kf2(kf2) -> int:
-        if int(kf2) != kf2 or kf2 <= 0:
+        if not math.isfinite(kf2) or int(kf2) != kf2 or kf2 <= 0:
             raise ValidationError("kf2 must be a positive integer")
         return int(kf2)
 
-    def _fill(self, mode_list: tuple[IVec, ...], kf2: int) -> None:
-        """Set the fields from distinct, valid int tuples and a checked kf2."""
-        self.modes: tuple[IVec, ...] = mode_list
-        self.kf2 = kf2
-        self.inside_flags = tuple(_norm2(m) <= self.kf2 for m in mode_list)
-        self._index = {m: i for i, m in enumerate(mode_list)}
-        self.inside_indices = tuple(
-            i for i, f in enumerate(self.inside_flags) if f
-        )
-        self.outside_indices = tuple(
-            i for i, f in enumerate(self.inside_flags) if not f
-        )
+    def _arrays(self, points: np.ndarray, kf2) -> None:
+        """Set the fields from an ``(n, 3)`` int64 array of modes and kf2."""
+        self.kf2 = self._checked_kf2(kf2)
+        self.points = points
+        self.inside = np.einsum("ij,ij->i", points, points) <= self.kf2
+        keys = points @ _KEY_WEIGHTS
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
         self._nbr: dict = {}
 
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Index of the mode with each key; -1 where absent."""
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+
     def _neighbours(self, k: IVec) -> np.ndarray:
-        """Index of ``modes[i] + k`` for each ``i``; -1 outside the set."""
+        """Index of ``points[i] + k`` for each ``i``; -1 outside the set."""
         if k not in self._nbr:
-            get, (kx, ky, kz) = self._index.get, k
-            self._nbr[k] = np.array([get((x + kx, y + ky, z + kz), -1) for x, y, z in self])
+            nbr = np.full(len(self), -1)
+            if max(map(abs, k)) < 2 * _LIMIT:  # a longer shift leaves the set
+                nbr[self._order] = self._lookup(self._keys + np.dot(k, _KEY_WEIGHTS))
+            self._nbr[k] = nbr
         return self._nbr[k]
 
     @classmethod
     def ball(cls, max_norm2, kf2: int) -> "ModeSet":
         """All modes with ``|k|**2 <= max_norm2``, sorted by (norm, lex)."""
-        if max_norm2 < 0:
-            raise ValidationError("max_norm2 must be nonnegative")
-        pts = _ball_points(max_norm2)
-        pts = pts[np.lexsort((*pts.T[::-1], (pts * pts).sum(axis=1)))]
-        # one Python int per coordinate value, shared by all the tuples
-        lo = int(pts.min())
-        cols = np.arange(lo, 1 - lo).astype(object)[pts.T - lo].tolist()
-        del pts  # 7 MB at kf2 1600 that _fill does not need
-        modes = tuple(zip(*cols))
-        del cols
-        # the tuples are distinct int triples closed under negation: skip
-        # the per-mode validation of __init__
+        if not math.isfinite(max_norm2) or max_norm2 < 0:
+            raise ValidationError("max_norm2 must be a finite nonnegative number")
+        if max_norm2 >= _LIMIT * _LIMIT:
+            raise ValidationError(f"max_norm2 must be below {_LIMIT * _LIMIT}")
+        pts = _ball_points(max_norm2)  # lexicographic: a stable sort by norm
+        pts = pts[np.argsort(np.einsum("ij,ij->i", pts, pts), kind="stable")]
         ms = cls.__new__(cls)
-        ms._fill(modes, cls._checked_kf2(kf2))
+        ms._arrays(pts, kf2)
         return ms
 
     def __len__(self) -> int:
-        return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
+        return len(self.points)
 
     def __contains__(self, k) -> bool:
-        return _ivec(k) in self._index
+        return self._position(_ivec(k)) >= 0
+
+    def _position(self, k: IVec) -> int:
+        if max(map(abs, k)) >= _LIMIT:
+            return -1
+        return int(self._lookup(np.array([k]) @ _KEY_WEIGHTS)[0])
 
     def index_of(self, k) -> int:
         key = _ivec(k)
-        if key not in self._index:
+        i = self._position(key)
+        if i < 0:
             raise ValidationError(f"mode {key} is not in the mode set")
-        return self._index[key]
+        return i
+
+    @functools.cached_property
+    def modes(self) -> tuple[IVec, ...]:
+        """The modes as int tuples, built on first use by the small check
+        paths; the solver reads ``points`` and ``inside``."""
+        return tuple(map(tuple, self.points.tolist()))
+
+    @property
+    def inside_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.inside)
+
+    @property
+    def outside_indices(self) -> np.ndarray:
+        return np.flatnonzero(~self.inside)
 
     @property
     def n_inside(self) -> int:
-        return len(self.inside_indices)
+        return int(np.count_nonzero(self.inside))
 
     @property
     def n_outside(self) -> int:
-        return len(self.outside_indices)
+        return len(self) - self.n_inside
 
     @property
     def fermi_energy(self) -> float:
         """Total kinetic energy of the fully occupied inside modes."""
-        return float(sum(_norm2(self.modes[i]) for i in self.inside_indices))
+        return float((self.points[self.inside] ** 2).sum())
 
     def metadata(self) -> dict:
         return {
-            "n_modes": len(self.modes),
+            "n_modes": len(self),
             "n_inside": self.n_inside,
             "kf2": self.kf2,
-            "modes": [list(m) for m in self.modes],
+            "modes": self.points.tolist(),
         }
-
-
-@dataclass(frozen=True)
-class BosonConfig:
-    """Occupation numbers over the bosonic mode list (fixed total)."""
-
-    occupations: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 0 for n in self.occupations):
-            raise ValidationError("occupations must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.occupations)
-
-
-@dataclass(frozen=True)
-class ExcitationConfig:
-    """A zero-charge set of particle modes (outside) and hole modes (inside)."""
-
-    particles: tuple[IVec, ...]
-    holes: tuple[IVec, ...]
-
-    def __post_init__(self):
-        if len(self.particles) != len(self.holes):
-            raise ValidationError(
-                "particle and hole counts must match (zero-charge sector)"
-            )
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.particles)
 
 
 class _BosonSpace:
@@ -287,9 +286,9 @@ class _BosonSpace:
         return sp.csr_matrix((vals, (to, src)), shape=(dim, dim))
 
 
-def _combinations(indices, count: int) -> np.ndarray:
+def _combinations(indices: np.ndarray, count: int) -> np.ndarray:
     """``count``-subsets of ``indices`` as rows, in itertools order."""
-    flat = itertools.chain.from_iterable(itertools.combinations(indices, count))
+    flat = itertools.chain.from_iterable(itertools.combinations(indices.tolist(), count))
     return np.fromiter(flat, np.int64).reshape(math.comb(len(indices), count), count)
 
 
@@ -403,17 +402,16 @@ class FockBasis:
         for c, members in enumerate(self._members):
             self._bcid[members], self._bpos[members] = c, np.arange(len(members))
 
-        modes = np.array(mode_set.modes, dtype=np.int64)
-        outside = mode_set.outside_indices
-        inside = mode_set.inside_indices
+        modes = mode_set.points
+        n_out, n_in = mode_set.n_outside, mode_set.n_inside
         self._sizes = np.array([len(m) for m in self._members])
-        top = min(self.max_pairs, len(outside), len(inside))
+        top = min(self.max_pairs, n_out, n_in)
 
         # Dimension first, from counts alone, so the cap is checked before
         # any state list is built.
         if self.momentum_sector is None:
             total = len(self._boson.configs) * sum(
-                math.comb(len(outside), p) * math.comb(len(inside), p)
+                math.comb(n_out, p) * math.comb(n_in, p)
                 for p in range(self.max_pairs + 1)
             )
         else:
@@ -491,35 +489,6 @@ class FockBasis:
             return None
         configs = self._members[self._cid[e]]
         return self._starts[e] + np.arange(len(configs)), configs
-
-    def state_at(self, i: int) -> tuple[BosonConfig, ExcitationConfig]:
-        if not 0 <= i < self.dimension:
-            raise ValidationError("state index out of range")
-        e = int(np.searchsorted(self._starts, i, "right")) - 1
-        lev = self._levels[self._pair_count[e]]
-        configs = self._members[self._cid[e]]
-        modes = self.mode_set.modes
-        return (
-            BosonConfig(self._boson.configs[configs[i - self._starts[e]]]),
-            ExcitationConfig(
-                tuple(modes[j] for j in lev.parts[e - lev.first].tolist()),
-                tuple(modes[j] for j in lev.holes[e - lev.first].tolist()),
-            ),
-        )
-
-    def index_of(self, boson: BosonConfig, excitation: ExcitationConfig) -> int:
-        b = self._boson.index.get(tuple(boson.occupations))
-        found = self.block(
-            sorted(self.mode_set.index_of(m) for m in excitation.particles),
-            sorted(self.mode_set.index_of(m) for m in excitation.holes),
-        )
-        if b is None or found is None or b not in found[1]:
-            raise ValidationError("state is not part of this basis")
-        return int(found[0][self._bpos[b]])
-
-    @property
-    def states(self) -> list[tuple[BosonConfig, ExcitationConfig]]:
-        return [self.state_at(i) for i in range(self.dimension)]
 
     @property
     def boson_dimension(self) -> int:
@@ -912,8 +881,7 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     (hard truncation).
     """
     ms = basis.mode_set
-    inside = np.array(ms.inside_flags)
-    holes_all = np.array(ms.inside_indices, dtype=np.int64)
+    inside, holes_all = ms.inside, ms.inside_indices
 
     def transitions():
         for lev, nxt in zip(basis._levels, basis._levels[1:]):
@@ -962,7 +930,7 @@ def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix
     zero-charge basis, so they are skipped.
     """
     ms = basis.mode_set
-    inside = np.array(ms.inside_flags)
+    inside = ms.inside
 
     def transitions():
         for lev in basis._levels[1:]:
@@ -995,7 +963,6 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
     """
     basis: PhysicalBasis = op.basis
     ms = basis.mode_set
-    modes = ms.modes
     bspace = basis._boson
     nb = basis.boson_dimension
     dim = basis.dimension
@@ -1010,11 +977,9 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
     # + the l = j coupling terms λ V̂(0) N per occupied fermion mode.
     n = basis.n_bosons
     const = _interaction_constant(n, w)
+    n2 = (ms.points * ms.points).sum(axis=1).tolist()
     fermi_kin = np.array(
-        [
-            float(sum(_norm2(modes[i]) for i in cfg))
-            for cfg in basis.fermion_configs
-        ]
+        [float(sum(n2[i] for i in cfg)) for cfg in basis.fermion_configs]
     )
     v0_diag = lam * v.coefficient(_ZERO) * n * basis.fermion_count
     diag = np.add.outer(fermi_kin, bspace.kinetic + const + v0_diag).ravel()
@@ -1035,18 +1000,18 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
             cols.append(bf + off)
             data.append(bv)
 
-    # Coupling hops l != j with the boson shift S_{l-j}, whose (to, from,
+    # Coupling hops l = j + δ != j with the boson shift S_δ, whose (to, from,
     # value) arrays are built once per δ.
     hops = []
     for delta, coeff in v.items():
         if delta != _ZERO and (shift := bspace.shift_entries(delta)):
-            hops.append((delta, coeff, *map(np.array, zip(*shift))))
+            hops.append((ms._neighbours(delta).tolist(), coeff, *map(np.array, zip(*shift))))
     for f_from, cfg in enumerate(basis.fermion_configs):
         occ_set = set(cfg)
         for j_idx in cfg:
-            for delta, coeff, bt, bf, bv in hops:
-                l_idx = ms._index.get(_add(modes[j_idx], delta))
-                if l_idx is None or l_idx in occ_set:
+            for nbr, coeff, bt, bf, bv in hops:
+                l_idx = nbr[j_idx]
+                if l_idx < 0 or l_idx in occ_set:
                     continue
                 s1, occ1 = _sign_annihilate(cfg, j_idx)
                 s2, new_cfg = _sign_create(occ1, l_idx)
@@ -1086,10 +1051,11 @@ def _conjugated_matrix(op: OperatorHandle) -> sp.csr_matrix:
         max_dimension=op._max_dimension,
     ).matrix()
     nb = basis.boson_dimension
+    inside = ms.inside_indices.tolist()
     rows, cols, vals = [], [], []
     for lev in basis._levels:
         for parts, holes in zip(lev.parts.tolist(), lev.holes.tolist()):
-            sign, image = _ph_image(tuple(sorted(parts + holes)), ms.inside_indices)
+            sign, image = _ph_image(tuple(sorted(parts + holes)), inside)
             f_idx = phys.fermion_index.get(image)
             if f_idx is None:
                 raise ValidationError(
@@ -1211,8 +1177,8 @@ class _OffChargeSpace:
                  max_dimension: int = 200_000):
         self.mode_set = mode_set
         configs: list[tuple[int, ...]] = []
-        outside = mode_set.outside_indices
-        inside = mode_set.inside_indices
+        outside = mode_set.outside_indices.tolist()
+        inside = mode_set.inside_indices.tolist()
         total = 0
         for np_count in range(max_particles + 1):
             for nh_count in range(max_holes + 1):
@@ -1231,15 +1197,9 @@ class _OffChargeSpace:
                         configs.append(tuple(sorted(parts + holes)))
         self.configs = configs
         self.index = {c: i for i, c in enumerate(configs)}
-        modes = mode_set.modes
-        inside_flags = mode_set.inside_flags
-        t = []
-        for occ in configs:
-            val = 0
-            for i in occ:
-                val += -_norm2(modes[i]) if inside_flags[i] else _norm2(modes[i])
-            t.append(float(val))
-        self.t_diag = np.array(t)
+        pts = mode_set.points
+        signed = (np.where(mode_set.inside, -1, 1) * (pts * pts).sum(axis=1)).tolist()
+        self.t_diag = np.array([float(sum(signed[i] for i in occ)) for occ in configs])
 
     def ladder(self, idx: int, create: bool) -> sp.csr_matrix:
         n = len(self.configs)
@@ -1276,10 +1236,10 @@ def pull_through_check(
     """
     ms = basis.mode_set
     k_idx = ms.index_of(k)
-    k2 = float(_norm2(ms.modes[k_idx]))
+    k2 = float(ms.points[k_idx] @ ms.points[k_idx])
     cap = basis.max_pairs + 1
     space = _OffChargeSpace(ms, cap, cap, max_dimension)
-    inside = ms.inside_flags[k_idx]
+    inside = ms.inside[k_idx]
 
     def f_vec(diag):
         out = np.empty_like(diag)

@@ -88,7 +88,9 @@ def _ball_points(kf2) -> np.ndarray:
     lexicographic order."""
     r = _isqrt_floor(kf2)
     sq = np.arange(-r, r + 1, dtype=np.int64) ** 2
-    return np.column_stack(np.nonzero(sq[:, None, None] + sq[:, None] + sq <= kf2)) - r
+    pts = np.column_stack(np.nonzero(sq[:, None, None] + sq[:, None] + sq <= kf2))
+    pts -= r
+    return pts
 
 
 # ---------------------------------------------------------------------------

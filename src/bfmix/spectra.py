@@ -253,32 +253,30 @@ def lowest_eigenvalues(
 
 def _truncated_lune(
     mode_set: ModeSet, k: IVec
-) -> list[tuple[IVec, float]]:
-    """Pairs ``(p, |p|^2 - |p - k|^2)`` over the mode set's lune of ``k``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Particle indices, hole indices and denominators ``|p|^2 - |p - k|^2``
+    over the mode set's lune of ``k``, in particle index order.
 
     ``p`` runs over modes of the set above the Fermi level whose shift
     ``p - k`` is a mode of the set at or below it.  Denominators are
     strictly positive for integer momenta.
     """
     k = _ivec(k)
-    out: list[tuple[IVec, float]] = []
-    modes = mode_set.modes
-    flags = mode_set.inside_flags
-    for i in mode_set.outside_indices:
-        p = modes[i]
-        h = _sub(p, k)
-        j = mode_set._index.get(h)
-        if j is None or not flags[j]:
-            continue
-        out.append((p, float(_norm2(p) - _norm2(h))))
-    return out
+    holes = mode_set._neighbours(_neg(k))
+    parts = np.flatnonzero(~mode_set.inside & (holes >= 0) & mode_set.inside[holes])
+    return parts, holes[parts], _denominators(mode_set.points[parts], k)
+
+
+def _denominators(points: np.ndarray, k: IVec) -> np.ndarray:
+    """``|p|^2 - |p - k|^2 = 2 p.k - |k|^2`` for each row ``p``, as floats."""
+    return (2 * (points @ np.array(k)) - _norm2(k)).astype(float)
 
 
 def _joint_truncated(
     mode_set: ModeSet,
     k: IVec,
     l: IVec,
-    lune_k: list[tuple[IVec, float]],
+    lune_k: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[float, float]:
     """Joint lune sums for the third-order trial-state correction.
 
@@ -290,22 +288,14 @@ def _joint_truncated(
     """
     k = _ivec(k)
     l = _ivec(l)
-    step = _sub(l, k)
-    flags = mode_set.inside_flags
-    bb_terms: list[float] = []
-    cc_terms: list[float] = []
-    for p, dk in lune_k:
-        q = _add(p, step)
-        jq = mode_set._index.get(q)
-        if jq is not None and not flags[jq]:
-            dl = float(_norm2(q) - _norm2(_sub(q, l)))
-            bb_terms.append(1.0 / (dk * dl))
-        r = _sub(p, l)
-        jr = mode_set._index.get(r)
-        if jr is not None and flags[jr]:
-            dl = float(_norm2(p) - _norm2(r))
-            cc_terms.append(1.0 / (dk * dl))
-    return fsum(bb_terms), fsum(cc_terms)
+    parts, _, dk = lune_k
+    q = mode_set._neighbours(_sub(l, k))[parts]
+    bb = (q >= 0) & ~mode_set.inside[q]
+    r = mode_set._neighbours(_neg(l))[parts]
+    cc = (r >= 0) & mode_set.inside[r]
+    pts = mode_set.points
+    return (fsum(1.0 / (dk[bb] * _denominators(pts[q[bb]], l))),
+            fsum(1.0 / (dk[cc] * _denominators(pts[parts[cc]], l))))
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +309,7 @@ class _PairChannel:
 
     k: IVec
     coefficient: float
-    lune: tuple[tuple[IVec, float], ...]
+    lune: tuple[np.ndarray, np.ndarray, np.ndarray]  # see _truncated_lune
     d1: float
     d2: float
     shifted: np.ndarray = field(repr=False)
@@ -397,16 +387,17 @@ def make_trial_state(
         if k == (0, 0, 0) or ck == 0.0:
             continue
         lune = _truncated_lune(mode_set, k)
-        if not lune:
+        d = lune[2]
+        if not d.size:
             continue
-        d1 = fsum(1.0 / d for _, d in lune)
-        d2 = fsum(1.0 / (d * d) for _, d in lune)
+        d1 = fsum(1.0 / d)
+        d2 = fsum(1.0 / (d * d))
         shifted = algebra.shift(k) @ vec
         channels.append(
             _PairChannel(
                 k=k,
                 coefficient=float(ck),
-                lune=tuple(lune),
+                lune=lune,
                 d1=d1,
                 d2=d2,
                 shifted=shifted,
@@ -468,7 +459,7 @@ def trial_state_energy(trial: TrialState, w: FourierPotential) -> TrialEnergy:
             if c_step == 0.0:
                 continue
             particle_route, hole_route = _joint_truncated(
-                trial.mode_set, ch_k.k, ch_l.k, list(ch_k.lune)
+                trial.mode_set, ch_k.k, ch_l.k, ch_k.lune
             )
             if particle_route == 0.0 and hole_route == 0.0:
                 continue
@@ -505,7 +496,7 @@ def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
     momentum sector raise a validation error rather than being silently
     dropped.
     """
-    if basis.mode_set.modes != trial.mode_set.modes or (
+    if not np.array_equal(basis.mode_set.points, trial.mode_set.points) or (
         basis.mode_set.kf2 != trial.mode_set.kf2
     ):
         raise ValidationError("basis mode set differs from the trial state")
@@ -527,11 +518,10 @@ def materialize_trial_state(trial: TrialState, basis: FockBasis) -> np.ndarray:
         raise ValidationError(
             "trial state has boson components outside the basis sector"
         )
-    ms = trial.mode_set
     for ch in trial.channels:
         target = trial.lam * ch.coefficient
-        for p, d in ch.lune:
-            found = basis.block((ms.index_of(p),), (ms.index_of(_sub(p, ch.k)),))
+        for p, h, d in zip(*(a.tolist() for a in ch.lune)):
+            found = basis.block((p,), (h,))
             if found is None:
                 raise ValidationError(
                     "trial state dressing leaves the excitation basis"
@@ -999,7 +989,7 @@ def _compare_row(
             "full": basis.dimension,
             "boson": basis0.dimension,
             "boson_configs": alg_dim,
-            "modes": len(mode_set.modes),
+            "modes": len(mode_set),
             "inside": n_inside,
         },
         mu_h=tuple(float(x) for x in mu_h),
@@ -1284,7 +1274,7 @@ def quadratic_decomposition_check(
     safe_t1 = np.where(pc1 >= 1, t1, np.inf)
     eff = effective_potential_kF(v, kf2)
     lunes_complete = all(
-        len(lunes[k]) == lune_count(k, kf2) for k, _ in coupling
+        len(lunes[k][0]) == lune_count(k, kf2) for k, _ in coupling
     )
     med_steps = {k for k, _ in eff.base.items() if k != (0, 0, 0)}
     bset = set(alg.modes)
@@ -1318,10 +1308,10 @@ def quadratic_decomposition_check(
         val_fock = product_form(x)
         terms = []
         for k, ck in coupling:
-            lune = lunes[k]
-            if not lune:
+            d = lunes[k][2]
+            if not d.size:
                 continue
-            d1 = fsum(1.0 / d for _, d in lune)
+            d1 = fsum(1.0 / d)
             s = alg.shift(k) @ x
             terms.append(ck * ck * d1 * float(s @ s))
         val_closed = fsum(terms)
@@ -1346,8 +1336,8 @@ def quadratic_decomposition_check(
 
     # ---- named blocks on the one-pair sector --------------------------
     modes = mode_set.modes
-    inside = list(mode_set.inside_indices)
-    outside = list(mode_set.outside_indices)
+    inside = mode_set.inside_indices.tolist()
+    outside = mode_set.outside_indices.tolist()
     n2 = [_norm2(m) for m in modes]
     in_set = set(inside)
     out_set = set(outside)
@@ -1391,7 +1381,7 @@ def quadratic_decomposition_check(
         tpair = n2[ia] - n2[ib]
         for k, ck in coupling:
             blk = boson_block(k, k)
-            for _, d in lunes[k]:
+            for d in lunes[k][2].tolist():
                 add_block(a1, pr, pr, (ck * ck / (tpair + d)) * blk)
 
     kernel2 = np.zeros((npairs, npairs))

@@ -8,20 +8,31 @@ on sorted occupation tuples, finds each target block in a dict of the
 blocks that :func:`block_lists` reads off the basis's pair levels, and
 concatenates the resulting boson blocks.  :func:`assemble` builds every
 ``FockBasis`` operator kind this way, and the tests pin production's CSR
-arrays to its bytes.
+arrays to its bytes.  These oracles look modes up in their own dict over
+``ModeSet.modes``, never through the ModeSet's key arrays.
 
 :func:`ball_modes` is the cube scan that ``ModeSet.ball`` replaced.
+
+The per-state object API lives here too: :class:`BosonConfig`,
+:class:`ExcitationConfig`, and :func:`state_at`, :func:`index_of` and
+:func:`states` on a basis.  :func:`truncated_lune` and
+:func:`joint_truncated` are the per-mode lune loops that
+``spectra._truncated_lune`` and ``spectra._joint_truncated`` replaced with
+array passes over the neighbour map.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from bfmix.errors import ValidationError
 from bfmix.fock import (
     FockBasis,
+    ModeSet,
     _boson_interaction_local,
     _sign_annihilate,
     _sign_create,
@@ -30,6 +41,116 @@ from bfmix.potentials import FOURIER_FACTOR, FourierPotential
 from bfmix.util import _add, _neg, _norm2, _sub
 
 _ZERO = (0, 0, 0)
+
+
+def mode_index(ms: ModeSet) -> dict:
+    """Mode tuple -> ModeSet index."""
+    return {m: i for i, m in enumerate(ms.modes)}
+
+
+@dataclass(frozen=True)
+class BosonConfig:
+    """Occupation numbers over the bosonic mode list (fixed total)."""
+
+    occupations: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(n < 0 for n in self.occupations):
+            raise ValidationError("occupations must be nonnegative")
+
+    @property
+    def total(self) -> int:
+        return sum(self.occupations)
+
+
+@dataclass(frozen=True)
+class ExcitationConfig:
+    """A zero-charge set of particle modes (outside) and hole modes (inside)."""
+
+    particles: tuple
+    holes: tuple
+
+    def __post_init__(self):
+        if len(self.particles) != len(self.holes):
+            raise ValidationError(
+                "particle and hole counts must match (zero-charge sector)"
+            )
+
+    @property
+    def pair_count(self) -> int:
+        return len(self.particles)
+
+
+def state_at(basis: FockBasis, i: int) -> tuple[BosonConfig, ExcitationConfig]:
+    """The boson and excitation configuration of basis state ``i``."""
+    if not 0 <= i < basis.dimension:
+        raise ValidationError("state index out of range")
+    e = int(np.searchsorted(basis._starts, i, "right")) - 1
+    lev = basis._levels[basis._pair_count[e]]
+    configs = basis._members[basis._cid[e]]
+    modes = basis.mode_set.modes
+    return (
+        BosonConfig(basis._boson.configs[configs[i - basis._starts[e]]]),
+        ExcitationConfig(
+            tuple(modes[j] for j in lev.parts[e - lev.first].tolist()),
+            tuple(modes[j] for j in lev.holes[e - lev.first].tolist()),
+        ),
+    )
+
+
+def index_of(basis: FockBasis, boson: BosonConfig, excitation: ExcitationConfig) -> int:
+    """The state index of a (boson, excitation) configuration of ``basis``."""
+    ms = basis.mode_set
+    b = basis._boson.index.get(tuple(boson.occupations))
+    found = basis.block(
+        sorted(ms.index_of(m) for m in excitation.particles),
+        sorted(ms.index_of(m) for m in excitation.holes),
+    )
+    if b is None or found is None or b not in found[1]:
+        raise ValidationError("state is not part of this basis")
+    return int(found[0][basis._bpos[b]])
+
+
+def states(basis: FockBasis) -> list[tuple[BosonConfig, ExcitationConfig]]:
+    return [state_at(basis, i) for i in range(basis.dimension)]
+
+
+def truncated_lune(ms: ModeSet, k) -> list[tuple[int, int, float]]:
+    """Rows ``(particle, hole, |p|^2 - |p - k|^2)`` of the lune of ``k``:
+    particles ``p`` outside the Fermi surface in index order, holes
+    ``p - k`` inside it, both in the set."""
+    index, modes, inside = mode_index(ms), ms.modes, ms.inside.tolist()
+    out = []
+    for i in ms.outside_indices.tolist():
+        p = modes[i]
+        h = _sub(p, k)
+        j = index.get(h)
+        if j is None or not inside[j]:
+            continue
+        out.append((i, j, float(_norm2(p) - _norm2(h))))
+    return out
+
+
+def joint_truncated(ms: ModeSet, k, l, lune_k) -> tuple[float, float]:
+    """``(particle_route, hole_route)`` joint lune sums over the rows of
+    :func:`truncated_lune` for ``k``; see ``spectra._joint_truncated``."""
+    index, modes, inside = mode_index(ms), ms.modes, ms.inside.tolist()
+    step = _sub(l, k)
+    bb_terms: list[float] = []
+    cc_terms: list[float] = []
+    for i, _, dk in lune_k:
+        p = modes[i]
+        q = _add(p, step)
+        jq = index.get(q)
+        if jq is not None and not inside[jq]:
+            dl = float(_norm2(q) - _norm2(_sub(q, l)))
+            bb_terms.append(1.0 / (dk * dl))
+        r = _sub(p, l)
+        jr = index.get(r)
+        if jr is not None and inside[jr]:
+            dl = float(_norm2(p) - _norm2(r))
+            cc_terms.append(1.0 / (dk * dl))
+    return math.fsum(bb_terms), math.fsum(cc_terms)
 
 
 def ball_modes(max_norm2) -> list:
@@ -153,7 +274,7 @@ def pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     """
     shift = shift_blocks(basis)
     ms = basis.mode_set
-    modes = ms.modes
+    modes, index, inside = ms.modes, mode_index(ms), ms.inside.tolist()
     vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
 
     exc = block_lists(basis)[0]
@@ -164,14 +285,14 @@ def pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
             if len(parts) >= basis.max_pairs:
                 continue
             occupied = tuple(sorted(parts + holes))
-            for h_idx in ms.inside_indices:
+            for h_idx in ms.inside_indices.tolist():
                 if h_idx in holes:
                     continue
                 h_mode = modes[h_idx]
                 for k, coeff in vmodes:
                     p_mode = _add(h_mode, k)
-                    p_idx = ms._index.get(p_mode)
-                    if p_idx is None or ms.inside_flags[p_idx] or p_idx in parts:
+                    p_idx = index.get(p_mode)
+                    if p_idx is None or inside[p_idx] or p_idx in parts:
                         continue
                     step1 = _sign_create(occupied, h_idx)
                     if step1 is None:
@@ -236,7 +357,7 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     """
     shift = shift_blocks(basis)
     ms = basis.mode_set
-    modes = ms.modes
+    modes, index, inside = ms.modes, mode_index(ms), ms.inside.tolist()
     vmodes = [(k, c) for k, c in v.items() if k != _ZERO]
 
     exc = block_lists(basis)[0]
@@ -251,8 +372,8 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
             for j_idx in parts:
                 for delta, coeff in vmodes:
                     l_mode = _add(modes[j_idx], delta)
-                    l_idx = ms._index.get(l_mode)
-                    if l_idx is None or ms.inside_flags[l_idx]:
+                    l_idx = index.get(l_mode)
+                    if l_idx is None or inside[l_idx]:
                         continue
                     step1 = _sign_annihilate(occupied, j_idx)
                     s1, occ1 = step1
@@ -272,8 +393,8 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
             for l_idx in holes:
                 for delta, coeff in vmodes:
                     j_mode = _sub(modes[l_idx], delta)
-                    j_idx = ms._index.get(j_mode)
-                    if j_idx is None or not ms.inside_flags[j_idx]:
+                    j_idx = index.get(j_mode)
+                    if j_idx is None or not inside[j_idx]:
                         continue
                     step1 = _sign_annihilate(occupied, l_idx)
                     s1, occ1 = step1

@@ -19,6 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from boson_oracles import BosonAlgebra as _BosonAlgebra
+from fock_oracles import state_at
 from test_fock import draw_potentials, sample_v, sample_w, six_mode_set
 
 from bfmix.cli import main as cli_main
@@ -251,7 +252,7 @@ def test_criterion_06_operator_algebra():
     basis_m = build_basis(ModeSet.ball(2, 1), ModeSet.ball(1, 1).modes, 1, 1)
     totals = []
     for i in range(basis_m.dimension):
-        boson, exc = basis_m.state_at(i)
+        boson, exc = state_at(basis_m, i)
         mom = np.zeros(3, dtype=int)
         for occ, mode in zip(boson.occupations, basis_m.boson_modes):
             mom += occ * np.array(mode)

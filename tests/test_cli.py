@@ -483,6 +483,21 @@ def test_spectrum_boolean_number_is_schema_error(runner, tmp_path, field, value)
     assert f"field '{field}'" in result.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cutoff_rule", math.nan), ("cutoff_rule", math.inf),
+    ("cutoff_rule", {"offset": math.nan}), ("tol", math.nan), ("gap_tol", math.nan),
+], ids=["rule-nan", "rule-inf", "offset-nan", "tol-nan", "gap-tol-nan"])
+def test_spectrum_non_finite_number_is_schema_error(runner, fourier_files, tmp_path,
+                                                    field, value):
+    # Python's json reads NaN and Infinity; a NaN tol would switch off the
+    # residual gate, a non-finite cutoff would crash the mode set
+    cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
+                          **{field: value})
+    result = runner.invoke(main, ["spectrum", "--config", cfg])
+    assert result.exit_code == 2
+    assert f"field '{field}'" in result.stderr
+
+
 def test_spectrum_too_many_eigenvalues_names_the_field(runner, fourier_files, tmp_path):
     # The effective boson basis has 3 states at kf2 1 here; asking for 4
     # eigenvalues is a config error that names the field, the row and the size.

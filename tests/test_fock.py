@@ -8,7 +8,6 @@ import pytest
 
 from bfmix.errors import CapacityError, ValidationError
 from bfmix.fock import (
-    ExcitationConfig,
     ModeSet,
     OperatorHandle,
     _BosonSpace,
@@ -30,10 +29,10 @@ from bfmix.potentials import (
     from_coefficients,
     zero_potential,
 )
-from bfmix.spectra import make_trial_state
+from bfmix.spectra import default_cutoff_rule, make_trial_state
 from bfmix.util import rng
 from boson_oracles import BosonAlgebra
-from fock_oracles import ball_modes
+from fock_oracles import ExcitationConfig, ball_modes, index_of, state_at
 
 SIX_MODES = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 0, 0)]
 
@@ -87,7 +86,7 @@ class TestModeSet:
         ms = ModeSet.ball(4, 1)
         assert len(ms) == 33
         shells = {}
-        for m in ms:
+        for m in ms.modes:
             n2 = sum(c * c for c in m)
             shells[n2] = shells.get(n2, 0) + 1
         assert shells == {0: 1, 1: 6, 2: 12, 3: 8, 4: 6}
@@ -97,12 +96,11 @@ class TestModeSet:
     def test_ball_matches_cube_scan(self, max_norm2, kf2):
         ms = ModeSet.ball(max_norm2, kf2)
         assert ms.modes == tuple(ball_modes(max_norm2))
+        assert ms.points.dtype == np.int64
+        assert ms.points.tolist() == list(map(list, ms.modes))
         assert _ball_points(max_norm2).tolist() == sorted(map(list, ms.modes))
         assert all(type(c) is int for m in ms.modes for c in m)
-        # one int object per coordinate value, not one per tuple entry
-        r = math.isqrt(int(max_norm2))
-        assert len({id(c) for m in ms.modes for c in m}) <= 2 * r + 1
-        assert ms.inside_flags == tuple(sum(c * c for c in m) <= kf2 for m in ms.modes)
+        assert ms.inside.tolist() == [sum(c * c for c in m) <= kf2 for m in ms.modes]
 
     def test_inside_outside_split(self):
         ms = ModeSet.ball(4, 1)
@@ -152,14 +150,15 @@ class TestModeSet:
             ModeSet([], kf2=1)
 
     def test_ball_matches_validated_construction(self):
-        # ball builds its own tuples without re-validating them; a public
+        # ball builds its arrays without re-validating the modes; a public
         # construction of the same modes validates and gives the same set
         for max_norm2, kf2 in [(0, 1), (4, 1), (16, 4), (9, 25)]:
             ball = ModeSet.ball(max_norm2, kf2)
             ref = ModeSet(list(ball.modes), kf2)
-            for field in ("modes", "kf2", "inside_flags", "inside_indices",
-                          "outside_indices", "_index"):
-                assert getattr(ball, field) == getattr(ref, field)
+            assert ball.kf2 == ref.kf2 and ball.modes == ref.modes
+            for field in ("points", "inside", "inside_indices", "outside_indices",
+                          "_keys", "_order"):
+                assert np.array_equal(getattr(ball, field), getattr(ref, field))
             assert all(type(c) is int for m in ball.modes for c in m)
         for bad_kf2 in (0, -1, 1.5):
             with pytest.raises(ValidationError):
@@ -167,6 +166,43 @@ class TestModeSet:
         for bad in [(True, 0, 0), (1.5, 0, 0)]:
             with pytest.raises(ValidationError):
                 ModeSet([(0, 0, 0), bad], kf2=1, symmetric=False)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ModeSet.ball(math.nan, 4),
+        lambda: ModeSet.ball(math.inf, 4),
+        lambda: ModeSet.ball(-math.inf, 4),
+        lambda: ModeSet.ball(4, math.nan),
+        lambda: ModeSet.ball(4, math.inf),
+        lambda: ModeSet._checked_kf2(math.inf),
+        lambda: ModeSet._checked_kf2(math.nan),
+        lambda: ModeSet([(0, 0, 0)], math.nan),
+        lambda: ModeSet.ball(1e300, 4),
+        lambda: ModeSet([(0, 0, 2**18)], 1, symmetric=False),
+    ], ids=["ball-nan", "ball-inf", "ball-neg-inf", "kf2-nan", "kf2-inf",
+            "checked-inf", "checked-nan", "init-kf2-nan", "ball-huge", "init-huge"])
+    def test_non_finite_and_huge_cutoffs_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_ball_holds_arrays_only(self):
+        # one stored representation: the (norm, lex) points, the inside
+        # mask and the sorted keys; no per-mode tuple or dict
+        ms = ModeSet.ball(default_cutoff_rule(400), 400)
+        assert len(ms) == 44473
+        assert vars(ms).keys() == {"kf2", "points", "inside", "_order", "_keys", "_nbr"}
+        for value in vars(ms).values():
+            assert not (isinstance(value, (tuple, list, dict)) and len(value) == len(ms))
+        assert ms.points.shape == (len(ms), 3) and ms.points.dtype == np.int64
+        assert ms.inside.dtype == bool and ms.n_inside == len(ball_modes(400))
+        assert np.all(np.diff(ms._keys) > 0)
+
+    @pytest.mark.parametrize("k", [(1, 0, 0), (-2, 1, 0), (0, 0, 0), (7, -3, 5),
+                                   (45, 0, 0), (2**19 - 1, 0, 0), (0, 2**19, 0)])
+    def test_neighbours_match_a_dict_lookup(self, k):
+        for ms in (ModeSet.ball(49, 9), ModeSet(SIX_MODES, 1, symmetric=False)):
+            index = {m: i for i, m in enumerate(ms.modes)}
+            want = [index.get((x + k[0], y + k[1], z + k[2]), -1) for x, y, z in ms.modes]
+            assert ms._neighbours(k).tolist() == want
 
 
 class TestBuildBasis:
@@ -196,7 +232,7 @@ class TestBuildBasis:
         full = build_basis(ms, seven, 1, 1)
         totals = {}
         for i in range(full.dimension):
-            boson, exc = full.state_at(i)
+            boson, exc = state_at(full, i)
             mom = np.zeros(3, dtype=int)
             for occ, mode in zip(boson.occupations, full.boson_modes):
                 mom += occ * np.array(mode)
@@ -218,7 +254,7 @@ class TestBuildBasis:
         basis = build_basis(ms, seven, 1, 1, momentum_sector=(1, 0, 0))
         assert basis.dimension > 0
         for i in range(basis.dimension):
-            boson, exc = basis.state_at(i)
+            boson, exc = state_at(basis, i)
             mom = np.zeros(3, dtype=int)
             for occ, mode in zip(boson.occupations, basis.boson_modes):
                 mom += occ * np.array(mode)
@@ -240,14 +276,14 @@ class TestBuildBasis:
         b = build_basis(ms, seven, 1, 1)
         assert a.dimension == b.dimension
         for i in range(a.dimension):
-            assert a.state_at(i) == b.state_at(i)
+            assert state_at(a, i) == state_at(b, i)
 
     def test_index_roundtrip(self):
         ms = ModeSet.ball(1, 1)
         basis = build_basis(ms, ms.modes, 2, 1)
         for i in range(basis.dimension):
-            boson, exc = basis.state_at(i)
-            assert basis.index_of(boson, exc) == i
+            boson, exc = state_at(basis, i)
+            assert index_of(basis, boson, exc) == i
 
     def test_zero_charge_enforced(self):
         with pytest.raises(ValidationError):
@@ -295,7 +331,7 @@ class TestBosonNormalization:
 
         embed = np.zeros((d * d, basis.dimension))
         for col in range(basis.dimension):
-            occ = basis.state_at(col)[0].occupations
+            occ = state_at(basis, col)[0].occupations
             occupied = [i for i, c in enumerate(occ) if c]
             if len(occupied) == 1:
                 i = occupied[0]
@@ -342,7 +378,7 @@ class TestOperators:
         t = operator("excitation_kinetic", basis).dense()
         assert np.allclose(t, np.diag(np.diag(t)))
         for i in range(basis.dimension):
-            exc = basis.state_at(i)[1]
+            exc = state_at(basis, i)[1]
             if not exc.particles:
                 assert t[i, i] == 0.0
                 continue
@@ -356,7 +392,7 @@ class TestOperators:
         basis = build_basis(ms, (), 0, 1)
         n_plus = operator("pair_number", basis).matrix()
         for i in range(basis.dimension):
-            exc = basis.state_at(i)[1]
+            exc = state_at(basis, i)[1]
             assert n_plus[i, i] == exc.pair_count
 
     def test_pair_annihilate_kills_vacuum_sector(self):
@@ -365,7 +401,7 @@ class TestOperators:
         vm = operator("pair_annihilate", basis, v=sample_v()).matrix()
         vp = operator("pair_create", basis, v=sample_v()).matrix()
         for i in range(basis.dimension):
-            if basis.state_at(i)[1].pair_count == 0:
+            if state_at(basis, i)[1].pair_count == 0:
                 assert vm[:, i].nnz == 0
                 assert vp[i, :].nnz == 0
 
@@ -480,12 +516,12 @@ class TestParticleHole:
         dim = len(configs)
         r = np.zeros((dim, dim))
         for c, occ in enumerate(configs):
-            sign, image = _ph_image(occ, ms.inside_indices)
+            sign, image = _ph_image(occ, ms.inside_indices.tolist())
             r[index[image], c] = sign
         np.testing.assert_array_equal(r.T @ r, np.eye(dim))
         for j in range(6):
             conjugated = r.T @ ladders[j] @ r
-            if ms.inside_flags[j]:
+            if ms.inside[j]:
                 np.testing.assert_array_equal(conjugated, ladders[j].T)
             else:
                 np.testing.assert_array_equal(conjugated, ladders[j])
@@ -614,7 +650,7 @@ class TestMomentumConservation:
     def _total_momenta(self, basis):
         totals = []
         for i in range(basis.dimension):
-            boson, exc = basis.state_at(i)
+            boson, exc = state_at(basis, i)
             mom = np.zeros(3, dtype=int)
             for occ, mode in zip(boson.occupations, basis.boson_modes):
                 mom += occ * np.array(mode)

@@ -41,6 +41,7 @@ from bfmix.spectra import (
 )
 from bfmix.util import canonical_json, rng
 from boson_oracles import BosonAlgebra as _BosonAlgebra
+from fock_oracles import joint_truncated, truncated_lune
 from lune_oracles import joint_lune_sums
 
 AXIS = [(0, 0, 0), (1, 0, 0), (-1, 0, 0)]
@@ -216,9 +217,9 @@ def test_truncated_lune_matches_lattice_sums():
     for kf2, lam2 in ((1, 4), (2, 9), (4, 16)):
         ms = ModeSet.ball(lam2, kf2)
         for k in [(1, 0, 0), (1, 1, 0), (2, 0, 0)]:
-            lune = _truncated_lune(ms, k)
-            d1 = math.fsum(1.0 / d for _, d in lune)
-            d2 = math.fsum(1.0 / (d * d) for _, d in lune)
+            d = _truncated_lune(ms, k)[2]
+            d1 = math.fsum(1.0 / d)
+            d2 = math.fsum(1.0 / (d * d))
             assert d1 == pytest.approx(
                 resolvent_sum(1, k, kf2, lam2=lam2), rel=1e-13
             )
@@ -244,13 +245,54 @@ def test_joint_truncated_matches_lattice():
 
 def test_complete_lune_at_small_cutoff():
     ms = ModeSet.ball(4, 1)
-    lune = _truncated_lune(ms, (1, 0, 0))
-    points = {p for p, _ in lune}
+    parts, holes, d = _truncated_lune(ms, (1, 0, 0))
+    points = {ms.modes[i] for i in parts}
     assert points == {
         (2, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)
     }
-    d2 = math.fsum(1.0 / (d * d) for _, d in lune)
+    assert [ms.modes[i] for i in holes] == [
+        (p[0] - 1, p[1], p[2]) for p in (ms.modes[i] for i in parts)
+    ]
+    d2 = math.fsum(1.0 / (d * d))
     assert d2 == pytest.approx(37.0 / 9.0, rel=1e-14)
+
+
+def _lune_cases():
+    """(mode set, k, l): kf2 1-49 balls, a lopsided set, an empty lune."""
+    lopsided = ModeSet(
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (0, 1, 0), (2, 1, 0), (-1, 0, 0)],
+        kf2=1, symmetric=False,
+    )
+    yield lopsided, (1, 0, 0), (0, 1, 0)
+    yield lopsided, (1, 1, 0), (1, 0, 0)
+    for kf2 in (1, 2, 3, 4, 5, 9, 16, 25, 36, 49):
+        ms = ModeSet.ball(default_cutoff_rule(kf2), kf2)
+        yield ms, (1, 0, 0), (0, 1, 0)
+        yield ms, (1, 1, 0), (2, 0, 0)
+        yield ms, (2, 1, 1), (-1, 0, 0)
+        yield ms, (0, 0, 0), (1, 0, 0)  # k = 0: the lune is empty
+        yield ms, (40, 0, 0), (1, 0, 0)  # no hole in the set: empty
+
+
+@pytest.mark.parametrize("case", range(52))
+def test_lune_passes_match_the_per_mode_loops(case):
+    ms, k, l = list(_lune_cases())[case]
+    parts, holes, d = _truncated_lune(ms, k)
+    rows = truncated_lune(ms, k)
+    assert list(zip(parts.tolist(), holes.tolist(), d.tolist())) == rows
+    assert parts.dtype == holes.dtype == np.int64 and d.dtype == np.float64
+    if k in ((0, 0, 0), (40, 0, 0)):
+        assert rows == []
+    else:
+        assert rows
+    for route in ((k, l), (l, k), (k, k)):
+        lune = _truncated_lune(ms, route[0])
+        got = _joint_truncated(ms, *route, lune)
+        want = joint_truncated(ms, *route, truncated_lune(ms, route[0]))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    # the closed-form sums of make_trial_state, bit for bit
+    assert math.fsum(1.0 / d).hex() == math.fsum(1.0 / r[2] for r in rows).hex()
+    assert math.fsum(1.0 / (d * d)).hex() == math.fsum(1.0 / (r[2] * r[2]) for r in rows).hex()
 
 
 # ----------------------------------------------------------------------
@@ -791,3 +833,28 @@ def test_spectra_reads_bases_through_the_block_lookup():
     layout = {"_classes", "_block_class", "_block_start", "_exc", "_exc_index",
               "_t_diag", "_pair_count", "_expand_diag"}
     assert named & layout == set()
+
+
+@pytest.mark.parametrize("module", ["spectra", "cli"])
+def test_modules_read_mode_sets_through_their_arrays(module):
+    # spectra and cli read a ModeSet through points, inside, the index
+    # properties and _neighbours; its key lookup stays inside bfmix.fock
+    path = Path(spectra_module.__file__).with_name(f"{module}.py")
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    assert named & {"_index", "_nbr", "_fill", "inside_flags"} == set()
+
+
+def test_compare_row_never_builds_mode_tuples(monkeypatch):
+    def refuse(self):
+        raise AssertionError("ModeSet.modes built on the compare path")
+
+    monkeypatch.setattr(ModeSet, "modes", property(refuse))
+    v = from_coefficients({(1, 0, 0): 0.3}, cutoff=1)
+    reports = theorem1_compare(v, sample_w(), 2, [4, 9], n=2)
+    assert [r.failed for r in reports] == [False, False]
+    assert reports[1].dims["modes"] == len(ModeSet.ball(default_cutoff_rule(9), 9))
