@@ -498,6 +498,8 @@ def _load_experiment_config(path: str) -> dict:
                   "seed", "max_dimension", "trials", "threads"):
         if not _is_number(config[field], int):
             raise ValidationError(f"{path}: field {field!r} must be an integer")
+        if field in ("max_dimension", "trials") and config[field] < 1:
+            raise ValidationError(f"{path}: field {field!r} must be a positive integer")
     for field in ("tol", "gap_tol"):
         if not _is_number(config[field]) or config[field] <= 0:
             raise ValidationError(f"{path}: field {field!r} must be a positive number")

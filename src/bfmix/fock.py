@@ -33,6 +33,15 @@ index of ``points[i] + k`` for every ``i``, is one shift of the sorted keys.
 The mode tuples ``ModeSet.modes`` are built on first use, by the small check
 paths and the CLI; the solver never builds them.
 
+Boson layout
+------------
+A ``_BosonSpace`` holds its configurations only as arrays: ``occ``, an
+``(n_conf, d)`` int64 array in combinations-with-replacement order, and per
+row the total ``momenta`` and ``kinetic`` energy.  A row's index is its
+closed-form multiset rank, so the shift is one array pass over (row, q) and
+the pair interaction one per coupling mode ``k`` over (row, p, q), with
+entries in the order of the loops of ``tests/boson_oracles.py``.
+
 Block layout
 ------------
 A :class:`FockBasis` is a run of excitation blocks in (pair count, particle
@@ -77,7 +86,7 @@ import scipy.sparse as sp
 from .errors import CapacityError, ValidationError
 from .lattice import _ball_points
 from .potentials import FOURIER_FACTOR, FourierPotential, default_coupling
-from .util import IVec, _add, _ivec, _neg, _sub, rng
+from .util import IVec, _ivec, _neg, _sub, rng
 
 _ZERO: IVec = (0, 0, 0)
 
@@ -212,12 +221,12 @@ class ModeSet:
 
 
 class _BosonSpace:
-    """Deterministic enumeration of N-boson occupation configurations.
+    """N-boson occupation configurations on a list of modes, as arrays.
 
-    Configurations follow the combinations-with-replacement order over the
-    mode list; :meth:`shift` and :meth:`interaction` are the boson operators
-    as CSR matrices on them.  The hand-written occupation algebra these are
-    pinned against is ``tests/boson_oracles.py``.
+    ``occ`` holds one row of occupations per configuration, in the
+    combinations-with-replacement order over the mode list; ``momenta`` and
+    ``kinetic`` are per row.  :meth:`shift` and :meth:`interaction` are the
+    boson operators as CSR matrices, pinned to ``tests/boson_oracles.py``.
     """
 
     def __init__(self, modes: tuple[IVec, ...], n: int):
@@ -230,60 +239,112 @@ class _BosonSpace:
         self.modes = modes
         self.n = n
         d = len(modes)
-        combos = itertools.combinations_with_replacement(range(d), n)
-        configs = [tuple(map(combo.count, range(d))) for combo in combos]
-        self.configs = configs
-        self.index = {occ: i for i, occ in enumerate(configs)}
-        self._mode_index = {m: i for i, m in enumerate(modes)}
-        occ = np.array(configs, dtype=np.int64).reshape(len(configs), d)
-        vecs = np.array(modes, dtype=np.int64).reshape(d, 3)
-        self.momenta: list[IVec] = [tuple(m) for m in (occ @ vecs).tolist()]
-        self.kinetic = (occ @ (vecs * vecs).sum(axis=1)).astype(float)
-        self._shift_cache: dict[IVec, list[tuple[int, int, float]]] = {}
+        occ = np.zeros((1, d), dtype=np.int64)
+        for j in range(d - 1):  # each row splits by column j: left, left - 1, ..., 0
+            left = n - occ.sum(axis=1)
+            row = np.repeat(np.arange(len(occ)), left + 1)
+            first = np.cumsum(left + 1) - (left + 1)
+            occ = occ[row]
+            occ[:, j] = left[row] - (np.arange(len(row)) - first[row])
+        if d:
+            occ[:, -1] = n - occ.sum(axis=1)
+        self.occ = occ
+        self._vecs = np.array(modes, dtype=np.int64).reshape(d, 3)
+        self.momenta = occ @ self._vecs
+        self.kinetic = (occ @ (self._vecs * self._vecs).sum(axis=1)).astype(float)
+        # _before[a, j]: the rows that precede a row leaving ``a`` bosons
+        # after column j, agreeing with it before j and holding more at j:
+        # C(a - 1 + m, m) on the m = d - 1 - j later columns.
+        self._before = np.array(
+            [[math.comb(a + d - 2 - j, d - 1 - j) if a else 0 for j in range(d)]
+             for a in range(n + 1)], dtype=np.int64).reshape(n + 1, d)
         self._shift_mats: dict[IVec, sp.csr_matrix] = {}
 
-    def shift_entries(self, m: IVec) -> list[tuple[int, int, float]]:
-        """Entries (to, from, value) of the shift operator S_m = Σ a*_{q-m} a_q."""
-        if m in self._shift_cache:
-            return self._shift_cache[m]
-        entries: list[tuple[int, int, float]] = []
-        for bf, occ in enumerate(self.configs):
-            for iq, nq in enumerate(occ):
-                if nq == 0:
-                    continue
-                target_mode = _sub(self.modes[iq], m)
-                it = self._mode_index.get(target_mode)
-                if it is None:
-                    continue
-                if it == iq:
-                    entries.append((bf, bf, float(nq)))
-                else:
-                    new = list(occ)
-                    new[iq] -= 1
-                    new[it] += 1
-                    val = math.sqrt(nq * (occ[it] + 1))
-                    entries.append((self.index[tuple(new)], bf, val))
-        self._shift_cache[m] = entries
-        return entries
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        """Configuration index of each occupation row of ``n`` bosons."""
+        after, rank = np.full(len(rows), self.n), np.zeros(len(rows), dtype=np.int64)
+        for j in range(rows.shape[1]):
+            after -= rows[:, j]
+            rank += self._before[after, j]
+        return rank
+
+    def _step(self, k) -> np.ndarray:
+        """Index of mode ``modes[i] + k`` for each ``i``; -1 where it is none."""
+        i, j = np.nonzero((self._vecs[:, None] + k == self._vecs).all(axis=2))
+        step = np.full(len(self.modes), -1)
+        step[i] = j
+        return step
+
+    def shift_entries(self, m: IVec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (to, from, value) of S_m = Σ a*_{q-m} a_q in (from, q) order."""
+        it = self._step(_neg(m))
+        b, iq = np.nonzero((self.occ > 0) & (it >= 0))
+        it, nq, r = it[iq], self.occ[b, iq], np.arange(len(b))
+        new = self.occ[b]
+        new[r, iq] -= 1
+        new[r, it] += 1
+        return self._rank(new), b, np.where(it == iq, nq, np.sqrt(nq * (self.occ[b, it] + 1)))
+
+    def interaction_entries(self, w: FourierPotential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (to, from, value) of (1/N)Σ_{i<j} W without its
+        zero-momentum constant: a*_{p+k} a*_{q-k} a_q a_p ŵ(k)/(2N(2π)^{3/2})
+        in one pass per ``k``, in (from, k, p, q) order."""
+        n, d = self.n, len(self.modes)
+        passes = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        # (row, p, q) on which a_q a_p leaves a state
+        held = (self.occ > 0)[:, :, None] & (self.occ[:, None, :] > np.eye(d, dtype=np.int64))
+        for k, wk in w.items():
+            if k == _ZERO or n < 2:
+                continue
+            down, up = self._step(_neg(k)), self._step(k)
+            b, ip, iq = np.nonzero(held & (up >= 0)[:, None] & (down >= 0))
+            r, new = np.arange(len(b)), self.occ[b]
+            amp = np.sqrt(new[r, ip])
+            new[r, ip] -= 1
+            amp *= np.sqrt(new[r, iq])
+            new[r, iq] -= 1
+            for it in (down[iq], up[ip]):
+                new[r, it] += 1
+                amp *= np.sqrt(new[r, it])
+            pref = 1.0 / (2.0 * n * FOURIER_FACTOR)
+            passes.append((self._rank(new), b, pref * wk * amp))
+        # each pass runs in (from, p, q) order: a stable sort by ``from``
+        # keeps the passes' ``k`` order within one source row
+        to, src, vals = (np.concatenate(x) for x in zip(*passes))
+        order = np.argsort(src, kind="stable")
+        return to[order], src[order], vals[order]
 
     def shift(self, m: IVec) -> sp.csr_matrix:
         """S_m as a CSR matrix, cached per ``m``."""
         if m not in self._shift_mats:
-            self._shift_mats[m] = self._matrix(self.shift_entries(m))
+            to, src, vals = self.shift_entries(m)
+            self._shift_mats[m] = sp.csr_matrix((vals, (to, src)), shape=(len(self.occ),) * 2)
         return self._shift_mats[m]
 
     def interaction(self, w: FourierPotential) -> sp.csr_matrix:
         """(1/N)Σ_{i<j} W as a CSR matrix, its zero-momentum constant included."""
+        to, src, vals = self.interaction_entries(w)
         const = _interaction_constant(self.n, w)
-        diag = [(i, i, const) for i in range(len(self.configs))] if const else []
-        return self._matrix(_boson_interaction_local(self, w) + diag)
+        if const:
+            diag = np.arange(len(self.occ))
+            to, src = np.concatenate([to, diag]), np.concatenate([src, diag])
+            vals = np.concatenate([vals, np.full(len(diag), const)])
+        return sp.csr_matrix((vals, (to, src)), shape=(len(self.occ),) * 2)
 
-    def _matrix(self, entries: list[tuple[int, int, float]]) -> sp.csr_matrix:
-        dim = len(self.configs)
-        if not entries:
-            return sp.csr_matrix((dim, dim))
-        to, src, vals = map(np.array, zip(*entries))
-        return sp.csr_matrix((vals, (to, src)), shape=(dim, dim))
+
+def _boson_space(mode_set: ModeSet, boson_modes, n: int, max_dimension=math.inf) -> _BosonSpace:
+    """The space of ``n`` bosons on ``boson_modes``, which must lie in
+    ``mode_set``; CapacityError before it would enumerate more than
+    ``max_dimension`` configurations, ``C(n + d - 1, n)`` on ``d`` modes."""
+    bmodes = tuple(_ivec(m) for m in boson_modes)
+    for m in bmodes:
+        if m not in mode_set:
+            raise ValidationError(f"bosonic mode {m} is not part of the mode set")
+    if n > 0 and bmodes and (count := math.comb(n + len(bmodes) - 1, n)) > max_dimension:
+        raise CapacityError(
+            f"boson space of {count} configurations exceeds the cap {max_dimension}"
+        )
+    return _BosonSpace(bmodes, n)
 
 
 def _combinations(indices: np.ndarray, count: int) -> np.ndarray:
@@ -374,43 +435,40 @@ class FockBasis:
         if max_pairs < 0:
             raise ValidationError("max_pairs must be nonnegative")
         self.mode_set = mode_set
-        bmodes = tuple(_ivec(m) for m in boson_modes)
-        for m in bmodes:
-            if m not in mode_set:
-                raise ValidationError(
-                    f"bosonic mode {m} is not part of the mode set"
-                )
-        self.boson_modes = bmodes
         self.n_bosons = int(n_bosons)
+        self._boson = _boson_space(mode_set, boson_modes, self.n_bosons, max_dimension)
+        self.boson_modes = self._boson.modes
         self.max_pairs = int(max_pairs)
         self.momentum_sector = (
             None if momentum_sector is None else _ivec(momentum_sector)
         )
-        self._boson = _BosonSpace(bmodes, self.n_bosons)
 
-        # Boson momentum classes: key -> class id, and the configurations of
-        # each class id.  With no sector restriction a single class (key
-        # None) holds every configuration.
-        classes: dict = {}
-        for b, mom in enumerate(self._boson.momenta):
-            key = None if self.momentum_sector is None else mom
-            classes.setdefault(key, []).append(b)
-        self._class_id = {key: c for c, key in enumerate(classes)}
-        self._members = tuple(np.array(m) for m in classes.values())
-        self._bcid = np.empty(len(self._boson.configs), dtype=np.int64)
-        self._bpos = np.empty_like(self._bcid)
-        for c, members in enumerate(self._members):
-            self._bcid[members], self._bpos[members] = c, np.arange(len(members))
+        # Boson momentum classes in order of first appearance: key -> class
+        # id, and per configuration its class id and position in the class.
+        # With no sector restriction a single class (key None) holds every
+        # configuration.
+        if self.momentum_sector is None:
+            cid, keys = np.zeros(len(self._boson.occ), dtype=np.int64), [None]
+        else:
+            codes, moms = _row_codes(self._boson.momenta)
+            order = np.argsort(np.unique(codes, return_index=True)[1])
+            cid, keys = np.argsort(order)[codes], map(tuple, moms[order].tolist())
+        self._class_id = {key: c for c, key in enumerate(keys)}
+        self._sizes = np.bincount(cid)
+        members = np.argsort(cid, kind="stable")
+        self._members = tuple(np.split(members, np.cumsum(self._sizes)[:-1]))
+        self._bcid, self._bpos = cid, np.empty_like(cid)
+        self._bpos[members] = np.arange(len(cid)) - np.repeat(
+            np.cumsum(self._sizes) - self._sizes, self._sizes)
 
         modes = mode_set.points
         n_out, n_in = mode_set.n_outside, mode_set.n_inside
-        self._sizes = np.array([len(m) for m in self._members])
         top = min(self.max_pairs, n_out, n_in)
 
         # Dimension first, from counts alone, so the cap is checked before
         # any state list is built.
         if self.momentum_sector is None:
-            total = len(self._boson.configs) * sum(
+            total = len(self._boson.occ) * sum(
                 math.comb(n_out, p) * math.comb(n_in, p)
                 for p in range(self.max_pairs + 1)
             )
@@ -492,7 +550,7 @@ class FockBasis:
 
     @property
     def boson_dimension(self) -> int:
-        return len(self._boson.configs)
+        return len(self._boson.occ)
 
     def metadata(self) -> dict:
         counts = np.bincount(self._pair_count, self._sizes[self._cid])
@@ -512,21 +570,22 @@ class FockBasis:
 
     # -- internal assembly helpers ---------------------------------------
     def _class_blocks(self, entries, m: IVec) -> dict:
-        """Boson entries ``(to, from, value)`` of an operator that moves
-        total boson momentum by ``-m``, grouped by source momentum class.
+        """Boson entries, arrays ``(to, from, value)``, of an operator that
+        moves total boson momentum by ``-m``, grouped by source momentum class.
 
         Returns ``{class_key: (to_pos, from_pos, values, to_class_key)}`` with
         positions local to the respective classes.  With no sector restriction
         the single class ``None`` holds every entry.
         """
-        if not entries:
-            return {}
-        to, src, vals = map(np.array, zip(*entries))
+        to, src, vals = entries
+        cls = self._bcid[src]
+        by_class = np.argsort(cls, kind="stable")
+        ends = np.searchsorted(cls[by_class], np.arange(len(self._class_id) + 1))
         grouped = {}
         for c, key in enumerate(self._class_id):
             to_key = None if key is None else _sub(key, m)
-            sel = self._bcid[src] == c
-            if to_key in self._class_id and sel.any():
+            sel = by_class[ends[c] : ends[c + 1]]
+            if to_key in self._class_id and len(sel):
                 grouped[key] = (self._bpos[to[sel]], self._bpos[src[sel]], vals[sel], to_key)
         return grouped
 
@@ -576,17 +635,11 @@ class PhysicalBasis:
         )
         if not 0 <= self.fermion_count <= len(mode_set):
             raise ValidationError("fermion count out of range for the mode set")
-        bmodes = tuple(_ivec(m) for m in boson_modes)
-        for m in bmodes:
-            if m not in mode_set:
-                raise ValidationError(
-                    f"bosonic mode {m} is not part of the mode set"
-                )
-        self.boson_modes = bmodes
         self.n_bosons = int(n_bosons)
-        self._boson = _BosonSpace(bmodes, self.n_bosons)
+        self._boson = _boson_space(mode_set, boson_modes, self.n_bosons, max_dimension)
+        self.boson_modes = self._boson.modes
         n_fermion = math.comb(len(mode_set), self.fermion_count)
-        total = n_fermion * len(self._boson.configs)
+        total = n_fermion * len(self._boson.occ)
         if total > max_dimension:
             raise CapacityError(
                 f"basis dimension {total} exceeds the cap {max_dimension}"
@@ -602,7 +655,7 @@ class PhysicalBasis:
 
     @property
     def boson_dimension(self) -> int:
-        return len(self._boson.configs)
+        return len(self._boson.occ)
 
 
 def build_physical_basis(
@@ -804,43 +857,6 @@ def _interaction_constant(n: int, w: FourierPotential) -> float:
     return (n - 1) / 2.0 * w.coefficient(_ZERO) / FOURIER_FACTOR if n >= 1 else 0.0
 
 
-def _boson_interaction_local(bspace: _BosonSpace, w: FourierPotential):
-    """Off-constant two-body entries of (1/N)Σ_{i<j} W on the boson space."""
-    n = bspace.n
-    entries: list[tuple[int, int, float]] = []
-    if n < 2:
-        return entries
-    pref = 1.0 / (2.0 * n * FOURIER_FACTOR)
-    mode_index = bspace._mode_index
-    for bf, occ in enumerate(bspace.configs):
-        occupied = [i for i, c in enumerate(occ) if c]
-        for k, wk in w.items():
-            if k == _ZERO:
-                continue
-            for ip in occupied:
-                amp0 = math.sqrt(occ[ip])
-                occ1 = list(occ)
-                occ1[ip] -= 1
-                for iq in range(len(occ1)):
-                    if occ1[iq] == 0:
-                        continue
-                    it1 = mode_index.get(_sub(bspace.modes[iq], k))
-                    it2 = mode_index.get(_add(bspace.modes[ip], k))
-                    if it1 is None or it2 is None:
-                        continue
-                    amp = amp0 * math.sqrt(occ1[iq])
-                    occ2 = list(occ1)
-                    occ2[iq] -= 1
-                    amp *= math.sqrt(occ2[it1] + 1)
-                    occ2[it1] += 1
-                    amp *= math.sqrt(occ2[it2] + 1)
-                    occ2[it2] += 1
-                    entries.append(
-                        (bspace.index[tuple(occ2)], bf, pref * wk * amp)
-                    )
-    return entries
-
-
 def _coupling_blocks(basis: FockBasis, transitions) -> sp.csr_matrix:
     """Assemble coupling entries from excitation transitions.
 
@@ -989,23 +1005,16 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
     data.append(diag)
 
     # Boson pair interaction, lifted over every fermion block.
-    wij = _boson_interaction_local(bspace, w)
-    if wij:
-        bt = np.array([t for t, _, _ in wij], dtype=np.int64)
-        bf = np.array([f for _, f, _ in wij], dtype=np.int64)
-        bv = np.array([x for _, _, x in wij])
-        for f_idx in range(len(basis.fermion_configs)):
-            off = f_idx * nb
-            rows.append(bt + off)
-            cols.append(bf + off)
-            data.append(bv)
+    bt, bf, bv = bspace.interaction_entries(w)
+    for f_idx in range(len(basis.fermion_configs)):
+        rows.append(bt + f_idx * nb)
+        cols.append(bf + f_idx * nb)
+        data.append(bv)
 
     # Coupling hops l = j + δ != j with the boson shift S_δ, whose (to, from,
     # value) arrays are built once per δ.
-    hops = []
-    for delta, coeff in v.items():
-        if delta != _ZERO and (shift := bspace.shift_entries(delta)):
-            hops.append((ms._neighbours(delta).tolist(), coeff, *map(np.array, zip(*shift))))
+    hops = [(ms._neighbours(delta).tolist(), coeff, *bspace.shift_entries(delta))
+            for delta, coeff in v.items() if delta != _ZERO]
     for f_from, cfg in enumerate(basis.fermion_configs):
         occ_set = set(cfg)
         for j_idx in cfg:
@@ -1093,9 +1102,7 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
         return sp.csr_matrix((basis.dimension, basis.dimension))
     if kind == "boson_interaction":
         const = _interaction_constant(basis.n_bosons, op.w)
-        blocks = basis._class_blocks(
-            _boson_interaction_local(basis._boson, op.w), _ZERO
-        )
+        blocks = basis._class_blocks(basis._boson.interaction_entries(op.w), _ZERO)
         e = np.arange(len(basis._cid))
         mat = _coupling_blocks(basis, [(e, e, np.ones(len(e)), blocks)])
         if const:

@@ -24,9 +24,9 @@ Dual evaluation paths are kept deliberately separate on the fermion side:
 closed-form sums use this module's own truncated lune enumeration, while
 the matrix path goes through the excitation-operator assembly, and tests
 pin the two against each other.  Both paths share :mod:`bfmix.fock`'s
-boson occupation space (``_BosonSpace``, its shift and pair-interaction
-matrices); its independent hand-written copy is the test oracle in
-``tests/boson_oracles.py``.
+boson space ``_BosonSpace``, read only through ``occ``, ``modes``,
+``kinetic`` and the ``shift`` and ``interaction`` matrices; its
+hand-written oracle is ``tests/boson_oracles.py``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .fock import (
     FockBasis,
     ModeSet,
     _BosonSpace,
+    _boson_space,
     hamiltonian,
     operator,
 )
@@ -367,18 +368,11 @@ def make_trial_state(
     lam: float | None = None,
 ) -> TrialState:
     """Build a dressed trial state from a bare boson coefficient vector."""
-    bmodes = tuple(_ivec(m) for m in boson_modes)
-    for m in bmodes:
-        if m not in mode_set:
-            raise ValidationError(
-                f"bosonic mode {m} is not part of the mode set"
-            )
-    algebra = _BosonSpace(bmodes, int(n_bosons))
+    algebra = _boson_space(mode_set, boson_modes, int(n_bosons))
     vec = np.asarray(phi, dtype=float)
-    if vec.shape != (len(algebra.configs),):
+    if vec.shape != (len(algebra.occ),):
         raise ValidationError(
-            f"boson vector has shape {vec.shape}, expected "
-            f"({len(algebra.configs)},)"
+            f"boson vector has shape {vec.shape}, expected ({len(algebra.occ)},)"
         )
     if lam is None:
         lam = default_coupling(n_bosons, mode_set.kf2)
@@ -410,7 +404,7 @@ def make_trial_state(
     )
     return TrialState(
         mode_set=mode_set,
-        boson_modes=bmodes,
+        boson_modes=algebra.modes,
         n_bosons=int(n_bosons),
         v=v,
         lam=float(lam),
@@ -1268,7 +1262,7 @@ def quadratic_decomposition_check(
         max_dimension=max_dimension,
     )
     alg = basis1._boson  # the vacuum block holds every boson configuration
-    nc = len(alg.configs)
+    nc = len(alg.occ)
     vp1 = operator("pair_create", basis1, v=v).matrix()
     t1, pc1 = _diagonals(basis1)
     safe_t1 = np.where(pc1 >= 1, t1, np.inf)
@@ -1278,20 +1272,13 @@ def quadratic_decomposition_check(
     )
     med_steps = {k for k, _ in eff.base.items() if k != (0, 0, 0)}
     bset = set(alg.modes)
-    interior_modes = {
-        m for m in alg.modes if all(_sub(m, s) in bset for s in med_steps)
-    }
-    interior = [
-        i
-        for i, cfg in enumerate(alg.configs)
-        if all(
-            cfg[j] == 0 or alg.modes[j] in interior_modes
-            for j in range(len(alg.modes))
-        )
-    ]
+    exterior = np.array(
+        [not all(_sub(m, s) in bset for s in med_steps) for m in alg.modes], dtype=bool
+    )
+    interior = ~alg.occ[:, exterior].any(axis=1)  # no boson on an exterior mode
     worst_vac = 0.0
     worst_med: float | None = (
-        0.0 if lunes_complete and interior else None
+        0.0 if lunes_complete and interior.any() else None
     )
     if worst_med is not None:
         med_inter = alg.interaction(eff.base)
@@ -1323,7 +1310,7 @@ def quadratic_decomposition_check(
             # interaction plus half its zero-argument value, on an
             # interior-supported state.
             xi = np.zeros(nc)
-            draw = rng(seed, trials + t).standard_normal(len(interior))
+            draw = rng(seed, trials + t).standard_normal(np.count_nonzero(interior))
             xi[interior] = draw
             xi /= float(np.linalg.norm(xi))
             val_med = float(xi @ (med_inter @ xi)) + (

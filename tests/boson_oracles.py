@@ -1,10 +1,13 @@
 """Hand-written boson occupation algebra: the oracle for ``bfmix.fock._BosonSpace``.
 
 Production builds the boson shift ``S_m`` and the pair interaction as CSR
-matrices from ``_BosonSpace.shift_entries`` and ``_boson_interaction_local``.
-:class:`BosonAlgebra` applies the same operators to a vector one
-configuration at a time, in its own loops over occupation tuples, and shares
-no operator code with the package, so the two pin each other.
+matrices from ``_BosonSpace.shift_entries`` and
+``_BosonSpace.interaction_entries``: array passes over the occupation
+array, over (row, q) for a shift and over (row, p, q) per coupling mode
+``k`` for the interaction.  :class:`BosonAlgebra` applies the
+same operators to a vector one configuration at a time, in its own loops
+over occupation tuples, and shares no operator code with the package, so
+the two pin each other.
 """
 
 from __future__ import annotations

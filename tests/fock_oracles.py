@@ -33,7 +33,6 @@ from bfmix.errors import ValidationError
 from bfmix.fock import (
     FockBasis,
     ModeSet,
-    _boson_interaction_local,
     _sign_annihilate,
     _sign_create,
 )
@@ -90,7 +89,7 @@ def state_at(basis: FockBasis, i: int) -> tuple[BosonConfig, ExcitationConfig]:
     configs = basis._members[basis._cid[e]]
     modes = basis.mode_set.modes
     return (
-        BosonConfig(basis._boson.configs[configs[i - basis._starts[e]]]),
+        BosonConfig(tuple(basis._boson.occ[configs[i - basis._starts[e]]].tolist())),
         ExcitationConfig(
             tuple(modes[j] for j in lev.parts[e - lev.first].tolist()),
             tuple(modes[j] for j in lev.holes[e - lev.first].tolist()),
@@ -101,7 +100,8 @@ def state_at(basis: FockBasis, i: int) -> tuple[BosonConfig, ExcitationConfig]:
 def index_of(basis: FockBasis, boson: BosonConfig, excitation: ExcitationConfig) -> int:
     """The state index of a (boson, excitation) configuration of ``basis``."""
     ms = basis.mode_set
-    b = basis._boson.index.get(tuple(boson.occupations))
+    occ = {tuple(row): b for b, row in enumerate(basis._boson.occ.tolist())}
+    b = occ.get(tuple(boson.occupations))
     found = basis.block(
         sorted(ms.index_of(m) for m in excitation.particles),
         sorted(ms.index_of(m) for m in excitation.holes),
@@ -180,16 +180,17 @@ def block_lists(basis: FockBasis) -> tuple[list, list, list]:
 
 
 def class_blocks(basis: FockBasis, entries, m) -> dict:
-    """Boson entries ``(to, from, value)`` of an operator that moves total
-    boson momentum by ``-m``, grouped by source momentum class:
+    """Boson entries, arrays ``(to, from, value)``, of an operator that moves
+    total boson momentum by ``-m``, grouped by source momentum class:
     ``{class_key: (to_pos, from_pos, values, to_class_key)}``."""
     class_pos = {
         key: {b: p for p, b in enumerate(members)}
         for key, members in zip(basis._class_id, basis._members)
     }
     buckets: dict = {}
-    for t, f, v in entries:
-        key = None if basis.momentum_sector is None else basis._boson.momenta[f]
+    momenta = basis._boson.momenta.tolist()
+    for t, f, v in zip(*(x.tolist() for x in entries)):
+        key = None if basis.momentum_sector is None else tuple(momenta[f])
         buckets.setdefault(key, []).append((t, f, v))
     grouped: dict = {}
     for key, items in buckets.items():
@@ -438,7 +439,7 @@ def assemble(kind: str, basis: FockBasis, v=None, w=None, lam=None) -> sp.csr_ma
         const = 0.0
         if n >= 1:
             const += (n - 1) / 2.0 * w.coefficient(_ZERO) / FOURIER_FACTOR
-        blocks = class_blocks(basis, _boson_interaction_local(basis._boson, w), _ZERO)
+        blocks = class_blocks(basis, basis._boson.interaction_entries(w), _ZERO)
         mat = coupling_blocks(
             basis, ((e, e, 1.0, blocks) for e in range(len(basis._cid)))
         )

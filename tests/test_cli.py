@@ -498,6 +498,20 @@ def test_spectrum_non_finite_number_is_schema_error(runner, fourier_files, tmp_p
     assert f"field '{field}'" in result.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", -3), ("trials", 0), ("max_dimension", -1), ("max_dimension", 0),
+])
+def test_spectrum_nonpositive_count_is_schema_error(runner, fourier_files, tmp_path,
+                                                    field, value):
+    # a nonpositive trials count would quietly run one trial, a nonpositive
+    # max_dimension would fail every row as a capacity failure
+    cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
+                          **{field: value})
+    result = runner.invoke(main, ["spectrum", "--config", cfg])
+    assert result.exit_code == 2
+    assert f"field '{field}' must be a positive integer" in result.stderr
+
+
 def test_spectrum_too_many_eigenvalues_names_the_field(runner, fourier_files, tmp_path):
     # The effective boson basis has 3 states at kf2 1 here; asking for 4
     # eigenvalues is a config error that names the field, the row and the size.

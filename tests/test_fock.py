@@ -346,13 +346,15 @@ class TestBosonNormalization:
 
 
 class TestBosonSpace:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
     def test_operators_match_hand_written_algebra(self, n):
         space, oracle = _BosonSpace(tuple(SIX_MODES), n), BosonAlgebra(SIX_MODES, n)
-        assert space.configs == oracle.configs
+        assert space.occ.tolist() == [list(c) for c in oracle.configs]
+        assert space.momenta.tolist() == [list(m) for m in oracle.momenta]
+        assert space.kinetic.tobytes() == oracle.kinetic.tobytes()
         no_zero = from_coefficients({(1, 0, 0): 0.4, (1, 1, 0): -0.25}, cutoff=1)
         for t, w in enumerate((sample_w(), no_zero)):
-            x = rng(31, t).standard_normal(len(space.configs))
+            x = rng(31, t).standard_normal(len(space.occ))
             for m in [(0, 0, 0), (1, 0, 0), (-1, -1, 0), (2, 0, 0), (-3, 0, 0)]:
                 ref = oracle.shift_apply(x, m)
                 got = space.shift(m) @ x
@@ -360,6 +362,35 @@ class TestBosonSpace:
             ref = oracle.interaction_apply(x, w)
             got = space.interaction(w) @ x
             assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+    def test_space_holds_arrays_only(self):
+        # one row per configuration in occ, momenta and kinetic; no list,
+        # tuple or dict of configurations beside them
+        space = _BosonSpace(((0, 0, 0), (1, 0, 0), (-1, 0, 0), (2, 0, 0), (-2, 0, 0)), 16)
+        n_conf = math.comb(20, 4)
+        space.shift((1, 0, 0))
+        space.interaction(sample_w())
+        fields = vars(space)
+        assert {name for name, x in fields.items()
+                if isinstance(x, np.ndarray) and len(x) == n_conf} == {"occ", "momenta", "kinetic"}
+        assert space.occ.shape == (n_conf, 5)
+        assert not [name for name, x in fields.items()
+                    if isinstance(x, (list, tuple, dict)) and len(x) >= n_conf]
+
+    @pytest.mark.parametrize("build", [
+        lambda ms, modes: build_basis(ms, modes, 40, 1),
+        lambda ms, modes: build_basis(ms, modes, 40, 0, momentum_sector=(0, 0, 0)),
+        lambda ms, modes: build_physical_basis(ms, modes, 40),
+    ], ids=["fock", "fock-sector", "physical"])
+    def test_capacity_checked_before_enumeration(self, build, monkeypatch):
+        # 40 bosons on 9 modes: C(48, 8) = 377,348,994 configurations
+        def refuse(self, modes, n):
+            raise AssertionError("boson space enumerated past the cap")
+
+        monkeypatch.setattr(_BosonSpace, "__init__", refuse)
+        ms = ModeSet.ball(2, 1)
+        with pytest.raises(CapacityError, match="377348994"):
+            build(ms, ms.modes[:9])
 
     def test_duplicate_modes_rejected_everywhere(self):
         ms, twice = six_mode_set(), [(0, 0, 0), (0, 0, 0)]

@@ -32,11 +32,11 @@ def reference_blocks(basis: FockBasis) -> dict:
     inside = basis.mode_set.inside_indices
     sector = basis.momentum_sector
     if sector is None:
-        classes = {None: list(range(len(basis._boson.configs)))}
+        classes = {None: list(range(len(basis._boson.occ)))}
     else:
         classes = {}
-        for b, mom in enumerate(basis._boson.momenta):
-            classes.setdefault(mom, []).append(b)
+        for b, mom in enumerate(basis._boson.momenta.tolist()):
+            classes.setdefault(tuple(mom), []).append(b)
 
     def excitations():
         for pairs in range(basis.max_pairs + 1):

@@ -835,18 +835,38 @@ def test_spectra_reads_bases_through_the_block_lookup():
     assert named & layout == set()
 
 
+def _is_boson_space(node) -> bool:
+    """``node`` is ``_BosonSpace(...)``, ``_boson_space(...)``, ``x._boson``
+    or ``x.algebra``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in {"_BosonSpace",
+                                                                     "_boson_space"}
+    return isinstance(node, ast.Attribute) and node.attr in {"_boson", "algebra"}
+
+
 @pytest.mark.parametrize("module", ["spectra", "cli"])
 def test_modules_read_mode_sets_through_their_arrays(module):
     # spectra and cli read a ModeSet through points, inside, the index
-    # properties and _neighbours; its key lookup stays inside bfmix.fock
+    # properties and _neighbours; its key lookup stays inside bfmix.fock.
+    # They read a boson space through occ, modes, kinetic, shift and
+    # interaction; its entry passes stay inside bfmix.fock too.
     path = Path(spectra_module.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text())
     named = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             named.add(node.attr)
         elif isinstance(node, ast.Name):
             named.add(node.id)
     assert named & {"_index", "_nbr", "_fill", "inside_flags"} == set()
+    assert named & {"shift_entries", "interaction_entries", "_boson_interaction_local"} == set()
+    spaces = {target.id for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and _is_boson_space(node.value)
+              for target in node.targets if isinstance(target, ast.Name)}
+    on_space = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and (_is_boson_space(node.value)
+                     or isinstance(node.value, ast.Name) and node.value.id in spaces)}
+    assert on_space & {"configs", "index"} == set()
 
 
 def test_compare_row_never_builds_mode_tuples(monkeypatch):
