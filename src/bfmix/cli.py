@@ -218,8 +218,9 @@ _threads_option = click.option(
 
 
 def _format_value(value: float) -> str:
-    """Full-precision scalar; integral values print without a trailing .0."""
-    if value == int(value):
+    """Full-precision scalar; integral values print without a trailing .0,
+    non-finite ones as repr (``inf``, ``nan``)."""
+    if math.isfinite(value) and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -257,6 +258,9 @@ def main() -> None:
 def cmd_lune(k_text, kf2, alpha, lam2, sweep, k_list_text, kf2_list_text,
              cache_dir, out) -> None:
     """Lattice sums over the shifted-ball lune: single values or a sweep."""
+    for option, value in (("--alpha", alpha), ("--lam2", lam2)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{option} must be finite, got {value!r}")
     table = LuneSumTable(cache_dir)
     if sweep:
         k_list = _parse_vec_list(k_list_text)

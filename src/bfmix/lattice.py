@@ -29,7 +29,6 @@ stay in integer arithmetic when ``kf2`` is an integer).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -96,7 +95,7 @@ def _ball_points(kf2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lune enumeration (column intervals)
 
-_ROWS = 16  # x rows per block of columns
+_BLOCK_COLUMNS = 1 << 12  # columns per block (whole x rows, so one row more at most)
 _POINTS = 1 << 18  # points per yielded piece (plus one run at most)
 
 
@@ -113,47 +112,65 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
     return r - (r * r > n)
 
 
+def _column_runs(k: IVec, kf2, lam2, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The nonempty runs ``x, y, z0, n`` of the lune along the given columns
+    of the disc (x - kx)^2 + (y - ky)^2 <= kf2, as a (4, m) int64 array (see
+    _lune_columns). A function of its own, so that its temporaries are freed
+    before _lune_columns yields."""
+    kx, ky, kz = k
+    rs = _isqrt_array(kf2 - ((x - kx) ** 2 + (y - ky) ** 2))
+    lo, hi = kz - rs, kz + rs
+    xy2 = x * x + y * y
+    inner = kf2 - xy2
+    s = np.where(inner >= 0, _isqrt_array(np.maximum(inner, 0)) + 1, 0)
+    if lam2 is not None:
+        cap = lam2 - xy2
+        c = np.where(cap >= 0, _isqrt_array(np.maximum(cap, 0)), -1)
+        lo, hi = np.maximum(lo, -c), np.minimum(hi, c)
+    up0 = np.maximum(lo, s)
+    down1 = np.minimum(hi, -np.maximum(s, 1))
+    x, y = np.concatenate([x, x]), np.concatenate([y, y])
+    z0 = np.concatenate([up0, lo])
+    n = np.concatenate([hi - up0 + 1, down1 - lo + 1])
+    return np.stack([x, y, z0, n])[:, n > 0]
+
+
 def _lune_columns(k: IVec, kf2, lam2=None) -> Iterable[np.ndarray]:
     """Yield (4, m) int64 arrays ``x, y, z0, n``: the lune as runs along z.
 
-    Each run is the points (x, y, z0 .. z0 + n - 1). For a column (x, y) in
-    the disc (x - kx)^2 + (y - ky)^2 <= kf2 the shifted ball gives
-    |z - kz| <= rs; |p|^2 > kf2 keeps |z| >= s = isqrt(kf2 - x^2 - y^2) + 1
-    (s = 0 where x^2 + y^2 > kf2), which leaves at most two intervals, and
-    lam2 caps |z| <= isqrt(lam2 - x^2 - y^2). Columns are built in blocks of
-    _ROWS x rows and yielded in nonempty pieces of about _POINTS points, so
-    the cost is O(kF^2) columns, and temporaries stay small; a consumer that
-    counts runs (lune_count, _runs_histogram) never pays per point. Valid
-    for any k; the sums pass the canonical k so the runs lie along its
-    largest component, where d steps by 2 kz.
+    Each run is the points (x, y, z0 .. z0 + n - 1). The columns (x, y) are
+    the disc (x - kx)^2 + (y - ky)^2 <= kf2, row by row: row x holds
+    |y - ky| <= isqrt(kf2 - (x - kx)^2), one isqrt per row, and whole rows
+    are expanded with np.repeat in blocks of about _BLOCK_COLUMNS columns
+    (the ~pi kf2 columns of a lune with kf2 up to ~1300 are one block). For
+    a column the shifted ball gives |z - kz| <= rs; |p|^2 > kf2 keeps
+    |z| >= s = isqrt(kf2 - x^2 - y^2) + 1 (s = 0 where x^2 + y^2 > kf2),
+    which leaves at most two intervals, and lam2 caps
+    |z| <= isqrt(lam2 - x^2 - y^2). Runs are yielded in nonempty pieces of
+    about _POINTS points, so the cost is O(kF^2) columns, and temporaries
+    stay small; a consumer that counts runs (lune_count, _runs_histogram)
+    never pays per point. The order of the runs is not part of the contract
+    (lune_points sorts). Valid for any k; the sums pass the canonical k so
+    the runs lie along its largest component, where d steps by 2 kz.
     """
     kx, ky, kz = k
     r = _isqrt_floor(kf2)
     if lam2 is not None and lam2 >= (r + 2 + math.isqrt(kx * kx + ky * ky + kz * kz)) ** 2:
         lam2 = None  # above every |p|^2 in the shifted ball: no cap
-    ys = np.arange(ky - r, ky + r + 1, dtype=np.int64)
-    for x0 in range(kx - r, kx + r + 1, _ROWS):
-        xs = np.arange(x0, min(x0 + _ROWS, kx + r + 1), dtype=np.int64)
-        x, y = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
-        # int64 for integer kf2 (exact), float64 otherwise, as numpy promotes
-        shifted = kf2 - ((x - kx) ** 2 + (y - ky) ** 2)
-        keep = shifted >= 0
-        x, y, shifted = x[keep], y[keep], shifted[keep]
-        rs = _isqrt_array(shifted)
-        lo, hi = kz - rs, kz + rs
-        xy2 = x * x + y * y
-        inner = kf2 - xy2
-        s = np.where(inner >= 0, _isqrt_array(np.maximum(inner, 0)) + 1, 0)
-        if lam2 is not None:
-            cap = lam2 - xy2
-            c = np.where(cap >= 0, _isqrt_array(np.maximum(cap, 0)), -1)
-            lo, hi = np.maximum(lo, -c), np.minimum(hi, c)
-        up0 = np.maximum(lo, s)
-        down1 = np.minimum(hi, -np.maximum(s, 1))
-        x, y = np.concatenate([x, x]), np.concatenate([y, y])
-        z0 = np.concatenate([up0, lo])
-        n = np.concatenate([hi - up0 + 1, down1 - lo + 1])
-        runs = np.stack([x, y, z0, n])[:, n > 0]
+    rows = np.arange(kx - r, kx + r + 1, dtype=np.int64)
+    # int64 for integer kf2 (exact), float64 otherwise, as numpy promotes; a
+    # non-integer kf2 - (x - kx)^2 is exact too (a multiple of kf2's last bit)
+    half = _isqrt_array(kf2 - (rows - kx) ** 2)
+    width = 2 * half + 1
+    starts = np.cumsum(width) - width
+    i0 = 0
+    while i0 < len(rows):
+        i1 = int(np.searchsorted(starts, starts[i0] + _BLOCK_COLUMNS))
+        w = width[i0:i1]
+        x = np.repeat(rows[i0:i1], w)
+        y = np.arange(int(w.sum())) - np.repeat(starts[i0:i1] - starts[i0] + half[i0:i1] - ky, w)
+        i0 = i1
+        runs = _column_runs(k, kf2, lam2, x, y)
         if runs.shape[1] == 0:
             continue
         cum = np.cumsum(runs[3])
@@ -248,9 +265,9 @@ def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
 def lune_count(k: Sequence[int], kf2, lam2=None) -> int:
     """|L(k)| from the run lengths, without listing the points."""
     ck = canonical_vector(k)
+    kf2 = _check_kf2(kf2)
     if ck == (0, 0, 0):
         return 0
-    kf2 = _check_kf2(kf2)
     return sum(int(runs[3].sum()) for runs in _lune_columns(ck, kf2, lam2))
 
 
@@ -337,18 +354,24 @@ def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fractio
 class LuneSumTable:
     """Memo table for resolvent sums with an optional on-disk CSV cache.
 
-    Each cached entry is one CSV file named by a content hash of
-    (summation algorithm, alpha, canonical k, kf2), holding a header plus a
-    single row ``alpha,kx,ky,kz,kF_squared,value,count``. Values are stored
-    via repr so a reload is bit-exact; the algorithm tag keeps files written
-    by an earlier summation, whose values differ in the last bits, from
-    being read. Only untruncated sums are persisted; truncated sums (finite
+    The cache is one append-only file per summation algorithm, named by a
+    content hash of the algorithm tag, so sums written by an earlier
+    summation, whose values differ in the last bits, are never read (nor are
+    the one-file-per-sum ``lune_*.csv`` files of earlier versions). Each
+    computed untruncated sum appends one row
+    ``alpha,kx,ky,kz,kF_squared,value,count`` (canonical k, values via repr
+    so a reload is bit-exact) in a single os.write on an O_APPEND
+    descriptor, so tables in several processes may share the file; the
+    header row is written with the first row of an empty file and skipped
+    wherever it appears. A table reads the file once, at its first disk
+    lookup. A final line without a newline (a torn append) is skipped; any
+    other malformed line raises ValidationError. Truncated sums (finite
     lam2) are memoized in memory only. The denominator histogram of the most
     recently computed lune is kept, so D_1 then D_2 of one lune enumerates
     it once.
     """
 
-    _COLUMNS = ["alpha", "kx", "ky", "kz", "kF_squared", "value", "count"]
+    _HEADER = "alpha,kx,ky,kz,kF_squared,value,count"
     _ALGORITHM = "columns-fsum"
 
     def __init__(self, cache_dir: str | None = None):
@@ -357,74 +380,83 @@ class LuneSumTable:
         self.cache_dir = cache_dir
         self._mem: dict[tuple, tuple[float, int]] = {}
         self._last: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
+        self._file: str | None = None
+        self._read = False
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
+            self._file = os.path.join(cache_dir, f"lune_{content_hash([self._ALGORITHM])}.csv")
 
-    # -- keys and files ----------------------------------------------------
+    # -- keys and the cache file -------------------------------------------
     @staticmethod
     def _key(alpha: float, ck: IVec, kf2, lam2) -> tuple:
         return (float(alpha), ck, kf2, lam2)
 
-    def _path(self, alpha: float, ck: IVec, kf2) -> str:
-        h = content_hash([self._ALGORITHM, float(alpha), list(ck), kf2])
-        return os.path.join(self.cache_dir, f"lune_{h}.csv")  # type: ignore[arg-type]
-
-    def _load(self, alpha: float, ck: IVec, kf2) -> tuple[float, int] | None:
-        if not self.cache_dir:
-            return None
-        path = self._path(alpha, ck, kf2)
-        if not os.path.exists(path):
-            return None
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if len(rows) != 1:
-            raise ValidationError(f"malformed cache file {path}: expected one row")
-        row = rows[0]
-        return float(row["value"]), int(row["count"])
-
-    def _store(self, alpha: float, ck: IVec, kf2, value: float, count: int) -> None:
-        if not self.cache_dir:
+    def _load(self) -> None:
+        """Read the cache file's rows into the memo (once per table)."""
+        self._read = True
+        try:
+            with open(self._file, "rb") as fh:  # type: ignore[arg-type]
+                lines = fh.read().split(b"\n")
+        except FileNotFoundError:
             return
-        path = self._path(alpha, ck, kf2)
-        tmp = path + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self._COLUMNS)
-            w.writerow([repr(float(alpha)), ck[0], ck[1], ck[2], repr(kf2), repr(value), count])
-        os.replace(tmp, path)
+        # the last item is empty after a final newline, else a torn append
+        for number, line in enumerate(lines[:-1], 1):
+            try:
+                text = line.decode("ascii")
+                if text == self._HEADER:
+                    continue
+                alpha, kx, ky, kz, kf2, value, count = text.split(",")
+                kf2 = _check_kf2(int(kf2) if kf2.isdigit() else float(kf2))
+                key = self._key(float(alpha), (int(kx), int(ky), int(kz)), kf2, None)
+                self._mem.setdefault(key, (float(value), int(count)))
+            except (ValueError, ValidationError):
+                raise ValidationError(
+                    f"malformed cache file {self._file}: line {number} is {line!r};"
+                    " delete the file to recompute its sums"
+                ) from None
+
+    def _append(self, alpha: float, ck: IVec, kf2, value: float, count: int) -> None:
+        row = f"{float(alpha)!r},{ck[0]},{ck[1]},{ck[2]},{kf2!r},{value!r},{count}\n"
+        fd = os.open(self._file, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)  # type: ignore[arg-type]
+        try:
+            if os.fstat(fd).st_size == 0:
+                row = self._HEADER + "\n" + row
+            os.write(fd, row.encode("ascii"))
+        finally:
+            os.close(fd)
 
     # -- lookup ------------------------------------------------------------
     # ``threads`` is unused; it stays because perfbench/spans.py passes it
     # positionally when it wraps this method.
     def sum(self, alpha: float, k: Sequence[int], kf2, lam2=None, threads: int = 1) -> float:
         ck = canonical_vector(k)
+        kf2 = _check_kf2(kf2)
+        if not math.isfinite(float(alpha)):
+            raise ValidationError(f"alpha must be finite, got {alpha!r}")
         if ck == (0, 0, 0):
             return 0.0
-        kf2 = _check_kf2(kf2)
+        if lam2 is None and self._file and not self._read:
+            self._load()
         key = self._key(alpha, ck, kf2, lam2)
         hit = self._mem.get(key)
         if hit is not None:
             return hit[0]
-        if lam2 is None:
-            disk = self._load(alpha, ck, kf2)
-            if disk is not None:
-                self._mem[key] = disk
-                return disk[0]
         lune = (ck, kf2, lam2)
         if self._last is None or self._last[0] != lune:
             self._last = (lune, _lune_histogram(ck, kf2, lam2))
         d, n = self._last[1]
         value, count = _histogram_sum(float(alpha), d, n), int(n.sum())
         self._mem[key] = (value, count)
-        if lam2 is None:
-            self._store(alpha, ck, kf2, value, count)
+        if lam2 is None and self._file:
+            self._append(alpha, ck, kf2, value, count)
         return value
 
     def count(self, k: Sequence[int], kf2, lam2=None) -> int:
         ck = canonical_vector(k)
+        kf2 = _check_kf2(kf2)
         if ck == (0, 0, 0):
             return 0
-        key = self._key(1.0, ck, _check_kf2(kf2), lam2)
+        key = self._key(1.0, ck, kf2, lam2)
         hit = self._mem.get(key)
         if hit is not None:
             return hit[1]

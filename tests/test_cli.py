@@ -127,6 +127,30 @@ def test_lune_zero_mode_prints_zero(runner):
     assert result.output.strip() == "0"
 
 
+def test_lune_zero_mode_checks_kf2(runner):
+    result = runner.invoke(main, ["lune", "--k", "0,0,0", "--kf2", "-5"])
+    assert result.exit_code == 2
+    assert "kf2" in result.stderr
+
+
+@pytest.mark.parametrize("option, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                           ("--lam2", "nan"), ("--lam2", "-inf")])
+def test_lune_non_finite_option_is_usage_error(runner, tmp_path, option, value):
+    cache = tmp_path / "cache"
+    result = runner.invoke(main, ["lune", "--k", "1,0,0", "--kf2", "4", option, value,
+                                  "--cache-dir", str(cache)])
+    assert result.exit_code == 2
+    assert option in result.stderr
+    assert not cache.exists() or not list(cache.iterdir())  # nothing reached the cache
+
+
+def test_lune_overflowing_sum_prints_inf(runner):
+    with np.errstate(over="ignore"):  # 1/d^-2000 overflows to inf, as intended
+        result = runner.invoke(main, ["lune", "--k", "1,0,0", "--kf2", "4", "--alpha", "-2000"])
+    assert result.exit_code == 0
+    assert result.stdout.strip() == "inf"
+
+
 def test_lune_malformed_vector_is_usage_error(runner):
     result = runner.invoke(main, ["lune", "--k", "1,0", "--kf2", "1"])
     assert result.exit_code == 2
@@ -262,6 +286,21 @@ def test_effpot_csv_matches_json(runner, tmp_path):
         got.append(tuple(int(x) for x in cells[:4]) + tuple(float(x) for x in cells[4:]))
     assert len(got) == 3 * 6  # three sweep rows of the six nonzero modes
     assert got == want  # repr floats round-trip, so every value matches exactly
+
+
+def test_effpot_bytes_do_not_depend_on_the_cache(runner, tmp_path):
+    v = from_coefficients({(0, 0, 0): 0.5, (1, 0, 0): 0.3, (1, 1, 0): -0.2, (2, 0, 1): 0.07},
+                          cutoff=2, label="mixed")
+    path = str(tmp_path / "mixed.json")
+    save_fourier(v, path)
+    args = ["effpot", "--V", path, "--kf2", "49", "--kf2", "4", "--kf2", "400"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    runs = {name: runner.invoke(main, args + extra + ["--out", str(tmp_path / f"{name}.json")])
+            for name, extra in [("none", []), ("cold", cache), ("warm", cache)]}
+    assert all(r.exit_code == 0 for r in runs.values())
+    assert len(os.listdir(tmp_path / "cache")) == 1
+    texts = {name: (tmp_path / f"{name}.json").read_bytes() for name in runs}
+    assert texts["cold"] == texts["none"] and texts["warm"] == texts["none"]
 
 
 @pytest.mark.parametrize("kf2_args", [["--kf2=-4"], ["--kf2", "-4"], ["--kf2", "0"],

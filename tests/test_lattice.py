@@ -1,6 +1,8 @@
 """Lattice-sum tests: exact oracles, symmetry invariants, line-sum formula."""
 
 import math
+import os
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -166,14 +168,16 @@ class TestColumnOracle:
             )
 
     def test_block_and_piece_sizes_do_not_matter(self, monkeypatch):
-        # tiny row blocks and point pieces: many blocks, and runs split across pieces
-        k, kf2, lam2 = (2, -1, 1), 60, 90
-        ref_sum = slab_resolvent_sum(2.0, k, kf2, lam2)
-        ref_pts = slab_points(k, kf2, lam2)
-        monkeypatch.setattr(lat, "_ROWS", 3)
+        # tiny column blocks (1-2 x rows each; a 15-column row exceeds the
+        # budget alone) and point pieces: many blocks, and runs split across
+        # pieces; integer and non-integer kf2 and lam2
+        cases = [((2, -1, 1), 60, 90), ((2, -1, 1), 60.5, 90.25)]
+        refs = [(slab_resolvent_sum(2.0, *case), slab_points(*case)) for case in cases]
+        monkeypatch.setattr(lat, "_BLOCK_COLUMNS", 14)
         monkeypatch.setattr(lat, "_POINTS", 5)
-        assert lat._resolvent_sum_raw(2.0, k, kf2, lam2) == ref_sum
-        assert np.array_equal(lat.lune_points(k, kf2, lam2), ref_pts)
+        for case, (ref_sum, ref_pts) in zip(cases, refs):
+            assert lat._resolvent_sum_raw(2.0, *case) == ref_sum
+            assert np.array_equal(lat.lune_points(*case), ref_pts)
 
     def test_huge_lam2_is_no_cap(self):
         k, kf2 = (1, 2, 0), 9
@@ -450,6 +454,99 @@ class TestCacheTable:
     def test_count(self):
         table = lat.LuneSumTable()
         assert table.count((1, 0, 0), 1) == 5
+
+    # The cache is one append-only file per summation algorithm.
+    SUMS = [(1.0, (1, 2, 0), 7), (2.0, (1, 2, 0), 7), (0.5, (3, 1, 1), 40.25),
+            (1.0, (1, 0, 0), 2575), (1.5, (2, 2, 1), 3)]
+
+    @staticmethod
+    def _no_enumeration(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cached sum was recomputed")
+
+        monkeypatch.setattr(lat, "_lune_histogram", refuse)
+
+    @staticmethod
+    def _file(cache) -> str:
+        return str(cache / f"lune_{content_hash([lat.LuneSumTable._ALGORITHM])}.csv")
+
+    def test_one_file_round_trip_bit_exact(self, tmp_path, monkeypatch):
+        cache = tmp_path / "lunes"
+        table = lat.LuneSumTable(cache_dir=str(cache))
+        want = {s: table.sum(*s) for s in self.SUMS}
+        assert [str(p) for p in cache.iterdir()] == [self._file(cache)]
+        with open(self._file(cache)) as fh:
+            assert len(fh.read().splitlines()) == 1 + len(self.SUMS)  # header plus one row each
+        for alpha, k, kf2 in self.SUMS:
+            assert want[(alpha, k, kf2)] == lat._resolvent_sum_raw(alpha, k, lat._check_kf2(kf2))[0]
+        self._no_enumeration(monkeypatch)
+        reloaded = lat.LuneSumTable(cache_dir=str(cache))
+        assert {s: reloaded.sum(*s) for s in self.SUMS} == want
+        assert reloaded.count((1, 0, 0), 2575) == lat.lune_count((1, 0, 0), 2575)
+
+    def test_two_tables_append_alternately(self, tmp_path, monkeypatch):
+        cache = str(tmp_path / "lunes")
+        tables = [lat.LuneSumTable(cache_dir=cache), lat.LuneSumTable(cache_dir=cache)]
+        want = {s: tables[i % 2].sum(*s) for i, s in enumerate(self.SUMS)}
+        assert os.listdir(cache) == [os.path.basename(self._file(tmp_path / "lunes"))]
+        self._no_enumeration(monkeypatch)
+        reloaded = lat.LuneSumTable(cache_dir=cache)
+        assert {s: reloaded.sum(*s) for s in self.SUMS} == want
+
+    def test_torn_last_line_is_skipped(self, tmp_path, monkeypatch):
+        cache = tmp_path / "lunes"
+        kept, torn = self.SUMS[0], self.SUMS[2]
+        v_kept = lat.LuneSumTable(cache_dir=str(cache)).sum(*kept)
+        with open(self._file(cache), "a") as fh:
+            fh.write("0.5,1,1,3,40.25,1.2")  # an append cut short
+        reloaded = lat.LuneSumTable(cache_dir=str(cache))
+        assert reloaded.sum(*torn) == lat._resolvent_sum_raw(*torn)[0]  # computed again
+        self._no_enumeration(monkeypatch)
+        assert reloaded.sum(*kept) == v_kept
+
+    @pytest.mark.parametrize("line", [b"1.0,1,0,0,10", b"1.0,1,0,0,10,x,3",
+                                      b"1.0,1,0,0,-10,2.5,3", b"\xff\xfe"],
+                             ids=["short", "value", "kf2", "binary"])
+    def test_malformed_middle_line_raises(self, tmp_path, line):
+        cache = tmp_path / "lunes"
+        lat.LuneSumTable(cache_dir=str(cache)).sum(*self.SUMS[0])
+        with open(self._file(cache), "ab") as fh:
+            fh.write(line + b"\n" + b"2.0,0,1,2,7,0.25,5\n")
+        reloaded = lat.LuneSumTable(cache_dir=str(cache))
+        with pytest.raises(ValidationError, match=re.escape(self._file(cache))):
+            reloaded.sum(*self.SUMS[0])
+
+    def test_old_layout_and_earlier_algorithm_are_not_read(self, tmp_path):
+        cache = tmp_path / "lunes"
+        cache.mkdir()
+        row = "1.0,0,1,2,7,999.0,1\n"
+        header = "alpha,kx,ky,kz,kF_squared,value,count\n"
+        # a per-sum file of the earlier layout, named from (algorithm, key)
+        (cache / f"lune_{content_hash(['columns-fsum', 1.0, [0, 1, 2], 7])}.csv").write_text(header + row)
+        # the one file of another summation algorithm
+        (cache / f"lune_{content_hash(['slab-fsum'])}.csv").write_text(header + row)
+        value = lat.LuneSumTable(cache_dir=str(cache)).sum(1.0, (1, 2, 0), 7)
+        assert value == lat._resolvent_sum_raw(1.0, (0, 1, 2), 7)[0]
+        assert len(list(cache.glob("lune_*.csv"))) == 3
+
+    def test_nan_alpha_is_rejected_before_the_file(self, tmp_path):
+        cache = tmp_path / "lunes"
+        table = lat.LuneSumTable(cache_dir=str(cache))
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="alpha"):
+                table.sum(alpha, (1, 0, 0), 4)
+        assert list(cache.iterdir()) == []
+
+    def test_zero_mode_checks_kf2(self):
+        table = lat.LuneSumTable()
+        for bad in (0, -5, 0.0, True):
+            with pytest.raises(ValidationError, match="kf2"):
+                table.sum(1.0, (0, 0, 0), bad)
+            with pytest.raises(ValidationError, match="kf2"):
+                table.count((0, 0, 0), bad)
+            with pytest.raises(ValidationError, match="kf2"):
+                lat.lune_count((0, 0, 0), bad)
+        assert table.sum(1.0, (0, 0, 0), 4) == 0.0 and lat.lune_count((0, 0, 0), 4) == 0
 
 
 class TestAsymptoticsReport:
