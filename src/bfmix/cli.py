@@ -82,7 +82,7 @@ from .spectra import (
     reports_json,
     theorem1_compare,
 )
-from .util import content_hash, rng
+from .util import _is_number, content_hash, rng
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +476,6 @@ _CONFIG_DEFAULTS: dict = {
 _KNOWN_CHECKS = ("compare", "overlap", "decomposition")
 
 
-def _is_number(x, kind=(int, float)) -> bool:
-    """``x`` is a finite instance of ``kind``, not a JSON ``true``/``false``
-    and not ``NaN`` or ``Infinity``."""
-    if not isinstance(x, kind) or isinstance(x, bool):
-        return False
-    return isinstance(x, int) or math.isfinite(x)
-
-
 def _load_experiment_config(path: str) -> dict:
     """Read, default-fill, and validate an experiment configuration."""
     with open(path) as fh:
@@ -772,7 +764,7 @@ def _suite_fock(seed: int) -> list[tuple[str, float, bool]]:
     checks = []
     ms = ModeSet(_PH_MODES, kf2=1, symmetric=False)
     space = _OffChargeSpace(ms, 3, 3)
-    eye = np.eye(len(space.configs))
+    eye = np.eye(space.dimension)
     worst = 0.0
     annihilators = [space.ladder(j, False).toarray() for j in range(len(ms.modes))]
     creators = [space.ladder(j, True).toarray() for j in range(len(ms.modes))]

@@ -19,8 +19,8 @@ Conventions shared with :mod:`bfmix.potentials`:
 * Every operator is real.  Pair creation and pair annihilation are exact
   transposes of each other; all Hamiltonians are symmetric.
 
-Pair operators cost O(nnz) array work per pair level to assemble; the
-per-transition generators they replaced are the oracle in
+Operators cost O(nnz) array work to assemble; the per-transition and
+per-configuration loops they replaced are the oracles in
 ``tests/fock_oracles.py``.
 
 Mode layout
@@ -55,6 +55,17 @@ block, given as sorted particle and hole ModeSet indices, to its state
 indices and boson-configuration indices (None when the basis lacks it); code
 outside this module reads blocks only through it.
 
+Fermion layout
+--------------
+A fermion configuration is an ascending row of occupied ModeSet indices; its
+index is its closed-form lexicographic combination rank ``C(n, c) - 1 -
+Σ_i C(n - 1 - a_i, c - i)`` (``_subset_rank``), never above the number of
+configurations, so no key overflows.  :class:`PhysicalBasis` keeps one
+``(n_conf, count)`` array ``occupied``; ``_OffChargeSpace`` keeps particle
+and hole rows per count.  Every sign goes through ``_below``, so the full
+Hamiltonian, its particle-hole conjugate and the off-charge ladders are array
+passes.
+
 Operator kinds
 --------------
 ``boson_kinetic``          kinetic energy of the bosons (diagonal)
@@ -77,7 +88,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,6 +363,22 @@ def _combinations(indices: np.ndarray, count: int) -> np.ndarray:
     return np.fromiter(flat, np.int64).reshape(math.comb(len(indices), count), count)
 
 
+@functools.cache
+def _rank_terms(n: int, c: int) -> np.ndarray:
+    """``[i, a] -> C(n - 1 - a, c - i)`` where a sorted ``c``-subset of
+    ``range(n)`` can hold ``a`` at position ``i`` (``a <= n - c + i``), else 0;
+    no term exceeds ``C(n - 1, c)``."""
+    return np.array([[math.comb(n - 1 - a, c - i) if a <= n - c + i else 0 for a in range(n)]
+                     for i in range(c)], dtype=np.int64).reshape(c, n)
+
+
+def _subset_rank(rows: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic rank of each ascending row among the subsets of
+    ``range(n)`` of its size: ``C(n, c) - 1 - Σ_i C(n - 1 - a_i, c - i)``."""
+    c = rows.shape[1]
+    return math.comb(n, c) - 1 - _rank_terms(n, c)[np.arange(c), rows].sum(axis=1)
+
+
 def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic rank of each row among the distinct rows, and those."""
     srt = np.lexsort(rows.T[::-1])
@@ -371,9 +397,31 @@ def _exc_keys(parts: np.ndarray, holes: np.ndarray, base: int) -> np.ndarray:
     return key
 
 
+def _below(occ: np.ndarray, x) -> np.ndarray:
+    """Occupied indices below ``x`` per row of ``occ`` (``x`` one per row, or
+    one for all): a ladder operator at ``x`` carries ``(-1)`` to that power."""
+    return (occ < np.asarray(x)[..., None]).sum(1)
+
+
 def _ladder_sign(occ: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Fermion sign of ladder operators at ``x`` then ``y`` per row of ``occ``."""
-    return (-1) ** ((occ < x[:, None]).sum(1) + (occ < y[:, None]).sum(1) + (x < y))
+    return (-1) ** (_below(occ, x) + _below(occ, y) + (x < y))
+
+
+def _ph_sign(occ: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Sign of the particle-hole unitary on each ascending row of ``occ``.
+
+    The unitary is the ordered product over inside modes ``j`` of (flip
+    ``j``) x (total parity) x (sign when ``j`` was occupied) x (ladder sign
+    at ``j``); it sends each annihilator to itself outside the Fermi surface
+    and to the matching creator inside it.  The earlier flips move the parity
+    and the count below ``j`` alike, so step ``j`` reads the row as given:
+    ``(-1)`` to ``len(row)`` plus the occupied indices ``<= j``.
+    """
+    parity = np.full(len(occ), len(inside) * occ.shape[1])
+    for j in inside.tolist():
+        parity += _below(occ, j + 1)
+    return (-1) ** parity
 
 
 @dataclass(frozen=True)
@@ -393,23 +441,6 @@ class _Level:
             return np.full(len(key), -1)
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
         return np.where(self.keys[pos] == key, self.first + pos, -1)
-
-
-def _sign_create(occ: tuple[int, ...], j: int):
-    """Apply a creation operator at ModeSet index ``j`` to an occupied tuple."""
-    pos = bisect_left(occ, j)
-    if pos < len(occ) and occ[pos] == j:
-        return None
-    sign = -1 if pos % 2 else 1
-    return sign, occ[:pos] + (j,) + occ[pos:]
-
-
-def _sign_annihilate(occ: tuple[int, ...], j: int):
-    pos = bisect_left(occ, j)
-    if pos >= len(occ) or occ[pos] != j:
-        return None
-    sign = -1 if pos % 2 else 1
-    return sign, occ[:pos] + occ[pos + 1 :]
 
 
 class FockBasis:
@@ -617,8 +648,10 @@ class PhysicalBasis:
 
     Fermion configurations are all occupation subsets of the mode set with
     ``fermion_count`` members (default: the number of inside modes), ordered
-    lexicographically; every boson configuration pairs with every fermion
-    configuration (fermion-major blocks).
+    lexicographically: row ``f`` of ``occupied`` holds the ascending ModeSet
+    indices of configuration ``f``, and :meth:`fermion_rank` maps rows back.
+    Every boson configuration pairs with every fermion configuration
+    (fermion-major blocks).
     """
 
     def __init__(
@@ -630,28 +663,20 @@ class PhysicalBasis:
         max_dimension: int = 5000,
     ):
         self.mode_set = mode_set
-        self.fermion_count = (
-            mode_set.n_inside if fermion_count is None else int(fermion_count)
-        )
+        self.fermion_count = mode_set.n_inside if fermion_count is None else int(fermion_count)
         if not 0 <= self.fermion_count <= len(mode_set):
             raise ValidationError("fermion count out of range for the mode set")
         self.n_bosons = int(n_bosons)
         self._boson = _boson_space(mode_set, boson_modes, self.n_bosons, max_dimension)
         self.boson_modes = self._boson.modes
-        n_fermion = math.comb(len(mode_set), self.fermion_count)
-        total = n_fermion * len(self._boson.occ)
-        if total > max_dimension:
-            raise CapacityError(
-                f"basis dimension {total} exceeds the cap {max_dimension}"
-            )
-        self.dimension = total
-        self.fermion_configs = [
-            tuple(c)
-            for c in itertools.combinations(
-                range(len(mode_set)), self.fermion_count
-            )
-        ]
-        self.fermion_index = {c: i for i, c in enumerate(self.fermion_configs)}
+        self.dimension = math.comb(len(mode_set), self.fermion_count) * len(self._boson.occ)
+        if self.dimension > max_dimension:
+            raise CapacityError(f"basis dimension {self.dimension} exceeds the cap {max_dimension}")
+        self.occupied = _combinations(np.arange(len(mode_set)), self.fermion_count)
+
+    def fermion_rank(self, rows: np.ndarray) -> np.ndarray:
+        """Configuration index of each ascending row of occupied indices."""
+        return _subset_rank(rows, len(self.mode_set))
 
     @property
     def boson_dimension(self) -> int:
@@ -669,34 +694,6 @@ def build_physical_basis(
     return PhysicalBasis(
         mode_set, boson_modes, n_bosons, fermion_count, max_dimension
     )
-
-
-def _ph_image(occupied: tuple[int, ...], inside_indices) -> tuple[int, tuple[int, ...]]:
-    """Particle-hole unitary on one occupation state.
-
-    The unitary is the ordered product over inside modes of (flip the mode's
-    occupation) x (total parity) x (sign when the mode was occupied); the
-    composition exchanges occupied and empty inside modes with a definite
-    sign, and its matrix conjugation sends each annihilator to itself outside
-    the Fermi surface and to the matching creator inside it (verified
-    densely in the test suite).
-    """
-    occ = list(occupied)
-    sign = 1
-    for j in inside_indices:
-        pos = bisect_left(occ, j)
-        present = pos < len(occ) and occ[pos] == j
-        if present:
-            sign = -sign
-        if len(occ) % 2:
-            sign = -sign
-        if pos % 2:
-            sign = -sign
-        if present:
-            occ.pop(pos)
-        else:
-            occ.insert(pos, j)
-    return sign, tuple(occ)
 
 
 _KINDS = (
@@ -984,72 +981,54 @@ def _full_hamiltonian_matrix(op: OperatorHandle) -> sp.csr_matrix:
     dim = basis.dimension
     lam = op.lam
     v, w = op.v, op.w
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    occ = basis.occupied
+    fermions = np.arange(len(occ))[:, None]
 
     # Diagonal: boson kinetic + boson-interaction constant + fermion kinetic
     # + the l = j coupling terms λ V̂(0) N per occupied fermion mode.
     n = basis.n_bosons
     const = _interaction_constant(n, w)
-    n2 = (ms.points * ms.points).sum(axis=1).tolist()
-    fermi_kin = np.array(
-        [float(sum(n2[i] for i in cfg)) for cfg in basis.fermion_configs]
-    )
+    fermi_kin = (ms.points * ms.points).sum(axis=1)[occ].sum(axis=1).astype(float)
     v0_diag = lam * v.coefficient(_ZERO) * n * basis.fermion_count
     diag = np.add.outer(fermi_kin, bspace.kinetic + const + v0_diag).ravel()
     idx = np.arange(dim)
-    rows.append(idx)
-    cols.append(idx)
-    data.append(diag)
+    rows, cols, data = [idx], [idx], [diag]
 
     # Boson pair interaction, lifted over every fermion block.
     bt, bf, bv = bspace.interaction_entries(w)
-    for f_idx in range(len(basis.fermion_configs)):
-        rows.append(bt + f_idx * nb)
-        cols.append(bf + f_idx * nb)
-        data.append(bv)
+    rows.append((fermions * nb + bt).ravel())
+    cols.append((fermions * nb + bf).ravel())
+    data.append(np.tile(bv, len(occ)))
 
-    # Coupling hops l = j + δ != j with the boson shift S_δ, whose (to, from,
-    # value) arrays are built once per δ.
-    hops = [(ms._neighbours(delta).tolist(), coeff, *bspace.shift_entries(delta))
-            for delta, coeff in v.items() if delta != _ZERO]
-    for f_from, cfg in enumerate(basis.fermion_configs):
-        occ_set = set(cfg)
-        for j_idx in cfg:
-            for nbr, coeff, bt, bf, bv in hops:
-                l_idx = nbr[j_idx]
-                if l_idx < 0 or l_idx in occ_set:
-                    continue
-                s1, occ1 = _sign_annihilate(cfg, j_idx)
-                s2, new_cfg = _sign_create(occ1, l_idx)
-                f_to = basis.fermion_index[new_cfg]
-                rows.append(bt + f_to * nb)
-                cols.append(bf + f_from * nb)
-                data.append(lam * coeff * s1 * s2 * bv)
+    # Coupling hops l = j + δ != j with the boson shift S_δ: one pass per
+    # (δ, occupied column) over the rows whose mode l is empty.
+    for delta, coeff in v.items():
+        if delta == _ZERO:
+            continue
+        nbr = ms._neighbours(delta)
+        bt, bf, bv = bspace.shift_entries(delta)
+        for c in range(occ.shape[1]):
+            to = nbr[occ[:, c]]
+            f = np.flatnonzero((to >= 0) & ~(occ == to[:, None]).any(1))
+            new = occ[f]
+            new[:, c] = to[f]
+            new.sort(axis=1)
+            sign = _ladder_sign(occ[f], occ[f, c], to[f])
+            rows.append((basis.fermion_rank(new)[:, None] * nb + bt).ravel())
+            cols.append((fermions[f] * nb + bf).ravel())
+            data.append((lam * coeff * sign[:, None] * bv).ravel())
 
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return mat.tocsr()
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim)).tocsr()
 
 
 def _conjugated_matrix(op: OperatorHandle) -> sp.csr_matrix:
     """Particle-hole conjugate of the full Hamiltonian on the excitation basis."""
     basis: FockBasis = op.basis
     if basis.momentum_sector is not None:
-        raise ValidationError(
-            "the conjugated Hamiltonian needs an unrestricted basis"
-        )
+        raise ValidationError("the conjugated Hamiltonian needs an unrestricted basis")
     ms = basis.mode_set
-    phys = PhysicalBasis(
-        ms,
-        basis.boson_modes,
-        basis.n_bosons,
-        max_dimension=op._max_dimension,
-    )
+    phys = PhysicalBasis(ms, basis.boson_modes, basis.n_bosons, max_dimension=op._max_dimension)
     if basis.dimension != phys.dimension:
         raise ValidationError(
             "excitation basis does not match the physical sector; use "
@@ -1060,20 +1039,21 @@ def _conjugated_matrix(op: OperatorHandle) -> sp.csr_matrix:
         max_dimension=op._max_dimension,
     ).matrix()
     nb = basis.boson_dimension
-    inside = ms.inside_indices.tolist()
+    configs = basis._members[0]  # one class: every boson configuration
+    inside = ms.inside_indices
     rows, cols, vals = [], [], []
+    # One pass per pair level: a block's image keeps its particles and
+    # occupies the inside modes that are not its holes.
     for lev in basis._levels:
-        for parts, holes in zip(lev.parts.tolist(), lev.holes.tolist()):
-            sign, image = _ph_image(tuple(sorted(parts + holes)), inside)
-            f_idx = phys.fermion_index.get(image)
-            if f_idx is None:
-                raise ValidationError(
-                    "particle-hole image leaves the fermion sector"
-                )
-            states, configs = basis.block(parts, holes)
-            rows.append(f_idx * nb + configs)
-            cols.append(states)
-            vals.append(np.full(len(states), float(sign)))
+        occ = np.sort(np.hstack([lev.parts, lev.holes]), axis=1)
+        held = np.zeros((len(occ), len(ms)), dtype=bool)
+        np.put_along_axis(held, occ, True, axis=1)
+        held[:, inside] ^= True
+        image = np.nonzero(held)[1].reshape(len(occ), len(inside))
+        states = basis._starts[lev.first : lev.first + len(occ), None]
+        rows.append((phys.fermion_rank(image)[:, None] * nb + configs).ravel())
+        cols.append((states + configs).ravel())
+        vals.append(np.repeat(_ph_sign(occ, inside).astype(float), nb))
     r = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(phys.dimension, basis.dimension),
@@ -1178,51 +1158,68 @@ class _OffChargeSpace:
 
     Supports the pull-through identities, whose intermediate states carry
     charge ±1/2.  Dimension-capped; bosons are spectators and are omitted.
+    Side ``s`` (0: particles outside, 1: holes inside) keeps its ascending
+    rows of ``c`` ModeSet indices in ``_rows[s][c]``, numbered count by count
+    in lexicographic order from ``_first[s][c]``.  Particle row ``p`` with
+    hole row ``h`` is configuration ``p * n_h + h`` (``n_h`` hole rows): the
+    (particle count, particles, hole count, holes) order.
     """
 
     def __init__(self, mode_set: ModeSet, max_particles: int, max_holes: int,
                  max_dimension: int = 200_000):
         self.mode_set = mode_set
-        configs: list[tuple[int, ...]] = []
-        outside = mode_set.outside_indices.tolist()
-        inside = mode_set.inside_indices.tolist()
-        total = 0
-        for np_count in range(max_particles + 1):
-            for nh_count in range(max_holes + 1):
-                total += math.comb(len(outside), np_count) * math.comb(
-                    len(inside), nh_count
-                )
-        if total > max_dimension:
+        sides = (mode_set.outside_indices, mode_set.inside_indices)
+        self._max = (max_particles, max_holes)
+        counts = [[math.comb(len(side), c) for c in range(top + 1)]
+                  for side, top in zip(sides, self._max)]
+        self.dimension = sum(counts[0]) * sum(counts[1])  # Python ints: no overflow
+        if self.dimension > max_dimension:
             raise CapacityError(
-                f"fermionic space dimension {total} exceeds the cap "
+                f"fermionic space dimension {self.dimension} exceeds the cap "
                 f"{max_dimension}"
             )
-        for np_count in range(max_particles + 1):
-            for parts in itertools.combinations(outside, np_count):
-                for nh_count in range(max_holes + 1):
-                    for holes in itertools.combinations(inside, nh_count):
-                        configs.append(tuple(sorted(parts + holes)))
-        self.configs = configs
-        self.index = {c: i for i, c in enumerate(configs)}
-        pts = mode_set.points
-        signed = (np.where(mode_set.inside, -1, 1) * (pts * pts).sum(axis=1)).tolist()
-        self.t_diag = np.array([float(sum(signed[i] for i in occ)) for occ in configs])
+        self._first = [np.cumsum([0] + n) for n in counts]
+        self._sizes = tuple(len(side) for side in sides)
+        self._rows = tuple([_combinations(side, c) for c in range(top + 1)]
+                           for side, top in zip(sides, self._max))
+        inside = mode_set.inside
+        self._pos = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1  # within its side
+        n2 = (mode_set.points * mode_set.points).sum(axis=1)
+        t = [np.concatenate([n2[rows].sum(1) for rows in side]) for side in self._rows]
+        self.t_diag = np.subtract.outer(*t).ravel().astype(float)
+
+    def _moves(self, side: int, idx: int, create: bool) -> tuple:
+        """Arrays (to, from, sign) over the side's rows of the ladder operator
+        at ``idx``, one pass per row count; ``idx`` lies on that side."""
+        step = 1 if create else -1
+        to, src, sign = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+        for count, rows in enumerate(self._rows[side]):
+            if not 0 <= count + step <= self._max[side]:
+                continue
+            r = np.flatnonzero((rows == idx).any(1) != create)
+            if create:
+                new = np.sort(np.column_stack([rows[r], np.full(len(r), idx)]), axis=1)
+            else:
+                new = rows[r][rows[r] != idx].reshape(len(r), count - 1)
+            to.append(self._first[side][count + step]
+                      + _subset_rank(self._pos[new], self._sizes[side]))
+            src.append(self._first[side][count] + r)
+            sign.append((-1.0) ** _below(rows[r], idx))
+        return tuple(map(np.concatenate, (to, src, sign)))
 
     def ladder(self, idx: int, create: bool) -> sp.csr_matrix:
-        n = len(self.configs)
-        rows, cols, vals = [], [], []
-        for c, occ in enumerate(self.configs):
-            step = _sign_create(occ, idx) if create else _sign_annihilate(occ, idx)
-            if step is None:
-                continue
-            sign, new = step
-            target = self.index.get(new)
-            if target is None:
-                continue
-            rows.append(target)
-            cols.append(c)
-            vals.append(float(sign))
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        """Creator (``create``) or annihilator at ModeSet index ``idx``: the
+        moves on its side times, on the other side's rows, the sign of the
+        occupied indices below ``idx`` there."""
+        side = int(self.mode_set.inside[idx])
+        keep = np.arange(self._first[1 - side][-1])
+        kept = keep, keep, np.concatenate(
+            [(-1.0) ** _below(rows, idx) for rows in self._rows[1 - side]])
+        moved = self._moves(side, idx, create)
+        p, h = (moved, kept) if side == 0 else (kept, moved)
+        rows, cols = (np.add.outer(a * self._first[1][-1], b).ravel() for a, b in zip(p[:2], h[:2]))
+        vals = np.multiply.outer(p[2], h[2]).ravel()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.dimension,) * 2).tocsr()
 
 
 def pull_through_check(
@@ -1249,13 +1246,15 @@ def pull_through_check(
     inside = ms.inside[k_idx]
 
     def f_vec(diag):
-        out = np.empty_like(diag)
-        for i, t in enumerate(diag):
+        """``f`` at each entry, called once per distinct value."""
+        values, inverse = np.unique(diag, return_inverse=True)
+        out = np.empty(len(values))
+        for i, t in enumerate(values.tolist()):
             try:
-                out[i] = f(float(t))
+                out[i] = f(t)
             except ZeroDivisionError:
                 out[i] = np.inf
-        return out
+        return out[inverse]
 
     t = space.t_diag
     worst = 0.0
@@ -1276,7 +1275,7 @@ def pull_through_check(
         mask = np.isfinite(left + right)
         for trial in range(trials):
             gen = rng(seed, 1000 * case_no + trial)
-            vec = gen.standard_normal(len(space.configs))
+            vec = gen.standard_normal(space.dimension)
             vec[~mask] = 0.0
             norm = np.linalg.norm(vec)
             if norm == 0.0:

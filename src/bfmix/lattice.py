@@ -305,7 +305,9 @@ def _histogram_sum(alpha: float, d: np.ndarray, n: np.ndarray) -> float:
     what fsum makes of them; where one n * t overflows the result is inf
     instead of fsum's OverflowError.
     """
-    return math.fsum(_exact_pieces(d.astype(np.float64) ** (-alpha), n))
+    with np.errstate(over="ignore"):  # an overflowing term is inf, as documented
+        t = d.astype(np.float64) ** (-alpha)
+    return math.fsum(_exact_pieces(t, n))
 
 
 def _resolvent_sum_raw(alpha: float, k: IVec, kf2, lam2=None) -> tuple[float, int]:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .lattice import LuneSumTable, _canonical, _check_kf2, resolvent_sum
 from .scattering import RadialProfile
-from .util import IVec, _ivec, _neg
+from .util import IVec, _is_number, _ivec, _neg
 
 FOURIER_FACTOR = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}
 
@@ -453,17 +453,18 @@ def load_fourier(path: str) -> FourierPotential:
         raise ValidationError(f"{path}: expected a JSON object")
     if data.get("type") != "fourier":
         raise ValidationError(f"{path}: field 'type' must be 'fourier', got {data.get('type')!r}")
-    if "cutoff" not in data or not isinstance(data["cutoff"], int) or data["cutoff"] < 0:
+    if "cutoff" not in data or not _is_number(data["cutoff"], int) or data["cutoff"] < 0:
         raise ValidationError(f"{path}: field 'cutoff' must be a nonnegative integer")
     if "coeffs" not in data or not isinstance(data["coeffs"], list):
         raise ValidationError(f"{path}: field 'coeffs' must be a list of [kx,ky,kz,value] rows")
     entries = []
     for i, row in enumerate(data["coeffs"]):
         if (not isinstance(row, list) or len(row) != 4
-                or not all(isinstance(c, (int, float)) for c in row)
+                or not all(_is_number(c) for c in row)
                 or any(int(c) != c for c in row[:3])):
             raise ValidationError(
-                f"{path}: field 'coeffs' row {i} must be [kx,ky,kz,value] with integer modes"
+                f"{path}: field 'coeffs' row {i} must be [kx,ky,kz,value] "
+                "with integer modes and a finite value"
             )
         entries.append(((int(row[0]), int(row[1]), int(row[2])), float(row[3])))
     return from_coefficients(entries, data["cutoff"], label=str(data.get("label", "")))

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ResonanceError, ValidationError
+from .util import _is_number
 
 # 3-point Gauss-Legendre on [-1, 1]: exact for polynomials of degree <= 5.
 _GAUSS3_X = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -702,15 +703,13 @@ def load_radial(path: str) -> RadialProfile:
         raise ValidationError(f"{path}: field 'grid' must be 'uniform'")
     if "r_max" not in data:
         raise ValidationError(f"{path}: missing field 'r_max'")
-    if not isinstance(data["r_max"], (int, float)) or not data["r_max"] > 0:
-        raise ValidationError(f"{path}: field 'r_max' must be a positive number")
+    if not _is_number(data["r_max"]) or not data["r_max"] > 0:
+        raise ValidationError(f"{path}: field 'r_max' must be a positive finite number")
     if "samples" not in data or not isinstance(data["samples"], list) or len(data["samples"]) < 2:
         raise ValidationError(f"{path}: field 'samples' must be a list of >= 2 numbers")
-    try:
-        samples = np.asarray(data["samples"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field 'samples' must contain numbers") from exc
-    return RadialProfile(float(data["r_max"]), samples)
+    if not all(_is_number(x) for x in data["samples"]):
+        raise ValidationError(f"{path}: field 'samples' must contain finite numbers only")
+    return RadialProfile(float(data["r_max"]), np.asarray(data["samples"], dtype=float))
 
 
 def save_radial(profile: RadialProfile, path: str) -> None:

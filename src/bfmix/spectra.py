@@ -868,6 +868,16 @@ def _diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
                  for kind in ("excitation_kinetic", "pair_number"))
 
 
+def _effective_basis(v, w, n_bosons, kf2, lam2, boson_cutoff, max_dimension) -> tuple:
+    """A row's mode set, boson modes, and the pair-free zero-momentum basis
+    of the effective boson Hamiltonian."""
+    mode_set = ModeSet.ball(lam2, kf2)
+    bmodes = reachable_boson_modes(mode_set, (v, w), boson_cutoff)
+    basis0 = FockBasis(mode_set, bmodes, n_bosons, 0, momentum_sector=(0, 0, 0),
+                       max_dimension=max_dimension)
+    return mode_set, bmodes, basis0
+
+
 def _compare_row(
     v: FourierPotential,
     w: FourierPotential,
@@ -882,20 +892,12 @@ def _compare_row(
     table,
     seed: int,
 ) -> SpectrumReport:
-    mode_set = ModeSet.ball(lam2, kf2)
-    bmodes = reachable_boson_modes(mode_set, (v, w), boson_cutoff)
+    mode_set, bmodes, basis0 = _effective_basis(v, w, n_bosons, kf2, lam2, boson_cutoff,
+                                                max_dimension)
     lam = default_coupling(n_bosons, kf2)
     eff = effective_potential_kF(v, kf2, table=table)
     w_eff = linear_combination(
         1.0, w, -1.0, eff.base, label="effective_pair_potential"
-    )
-    basis0 = FockBasis(
-        mode_set,
-        bmodes,
-        n_bosons,
-        0,
-        momentum_sector=(0, 0, 0),
-        max_dimension=max_dimension,
     )
     if n > basis0.dimension:
         raise ValidationError(
@@ -1123,7 +1125,8 @@ def corollary_overlap(
     """Ground-state overlap between the two routes at one cutoff.
 
     Requires both ground states to be spectrally isolated: a gap below
-    ``gap_tol * max(1, |mu_1|)`` in either operator raises
+    ``gap_tol * max(1, |mu_1|)`` in either operator, or an effective boson
+    sector of fewer than two states, raises
     :class:`~bfmix.errors.DegeneracyError`, since the overlap is not a
     well-defined diagnostic for degenerate ground spaces.
     """
@@ -1132,6 +1135,12 @@ def corollary_overlap(
     kf2 = int(kf2)
     if lam2 is None:
         lam2 = default_cutoff_rule(kf2)
+    sector = _effective_basis(v, w, n_bosons, kf2, float(lam2), boson_cutoff, max_dimension)[2]
+    if sector.dimension < 2:
+        raise DegeneracyError(
+            f"the effective boson sector at kf2 {kf2} has {sector.dimension} "
+            f"state{'' if sector.dimension == 1 else 's'}; the overlap's gap test needs two"
+        )
     report = _compare_row(
         v,
         w,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -21,6 +22,14 @@ def _ivec(k) -> IVec:
     if len(parts) != 3 or any(isinstance(c, bool) or int(c) != c for c in parts):
         raise ValidationError(f"mode {k!r} is not an integer 3-vector")
     return (int(parts[0]), int(parts[1]), int(parts[2]))
+
+
+def _is_number(x, kind=(int, float)) -> bool:
+    """``x`` is a finite instance of ``kind``, not a JSON ``true``/``false``
+    and not ``NaN`` or ``Infinity``."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
 
 
 def _norm2(k: IVec) -> int:

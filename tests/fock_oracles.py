@@ -1,14 +1,20 @@
 """Per-transition oracles for the array assembly in :mod:`bfmix.fock`.
 
 Production assembles every coupling operator with one array pass per
-(pair level, column, coupling mode).  The code below is the assembly it
-replaced, kept as the reference: it walks one excitation block at a time,
-applies the ladder operators through ``_sign_create``/``_sign_annihilate``
-on sorted occupation tuples, finds each target block in a dict of the
-blocks that :func:`block_lists` reads off the basis's pair levels, and
-concatenates the resulting boson blocks.  :func:`assemble` builds every
-``FockBasis`` operator kind this way, and the tests pin production's CSR
-arrays to its bytes.  These oracles look modes up in their own dict over
+(pair level, column, coupling mode), and reads fermion configurations as
+rows of occupied indices with a closed-form rank and one sign helper.  The
+code below is the assembly it replaced, kept as the reference: it walks one
+excitation block or fermion configuration at a time, applies the ladder
+operators through :func:`sign_create`/:func:`sign_annihilate` (bisect on
+sorted occupation tuples), finds each target in a dict (of the blocks that
+:func:`block_lists` reads off the basis's pair levels, or of the tuples),
+and concatenates the resulting boson blocks.  :func:`assemble` builds every
+operator kind this way: the ``FockBasis`` kinds, the original-picture
+:func:`full_hamiltonian_matrix` and its particle-hole conjugate
+:func:`conjugated_matrix` through the per-state unitary :func:`ph_image`.
+:class:`OffChargeSpace` is the tuple-list off-charge space with its
+per-configuration ladders.  The tests pin production's CSR arrays to their
+bytes.  These oracles look modes up in their own dict over
 ``ModeSet.modes``, never through the ModeSet's key arrays.
 
 :func:`ball_modes` is the cube scan that ``ModeSet.ball`` replaced.
@@ -23,23 +29,68 @@ array passes over the neighbour map.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from bfmix.errors import ValidationError
-from bfmix.fock import (
-    FockBasis,
-    ModeSet,
-    _sign_annihilate,
-    _sign_create,
-)
+from bfmix.fock import FockBasis, ModeSet, PhysicalBasis
 from bfmix.potentials import FOURIER_FACTOR, FourierPotential
 from bfmix.util import _add, _neg, _norm2, _sub
 
 _ZERO = (0, 0, 0)
+
+
+def sign_create(occ: tuple[int, ...], j: int):
+    """Apply a creation operator at ModeSet index ``j`` to an occupied tuple:
+    ``(sign, new tuple)``, or None when ``j`` is occupied."""
+    pos = bisect_left(occ, j)
+    if pos < len(occ) and occ[pos] == j:
+        return None
+    sign = -1 if pos % 2 else 1
+    return sign, occ[:pos] + (j,) + occ[pos:]
+
+
+def sign_annihilate(occ: tuple[int, ...], j: int):
+    """Apply an annihilation operator at ModeSet index ``j`` to an occupied
+    tuple: ``(sign, new tuple)``, or None when ``j`` is empty."""
+    pos = bisect_left(occ, j)
+    if pos >= len(occ) or occ[pos] != j:
+        return None
+    sign = -1 if pos % 2 else 1
+    return sign, occ[:pos] + occ[pos + 1 :]
+
+
+def ph_image(occupied: tuple[int, ...], inside_indices) -> tuple[int, tuple[int, ...]]:
+    """Particle-hole unitary on one occupation state.
+
+    The unitary is the ordered product over inside modes of (flip the mode's
+    occupation) x (total parity) x (sign when the mode was occupied); the
+    composition exchanges occupied and empty inside modes with a definite
+    sign, and its matrix conjugation sends each annihilator to itself outside
+    the Fermi surface and to the matching creator inside it (verified
+    densely in the test suite).
+    """
+    occ = list(occupied)
+    sign = 1
+    for j in inside_indices:
+        pos = bisect_left(occ, j)
+        present = pos < len(occ) and occ[pos] == j
+        if present:
+            sign = -sign
+        if len(occ) % 2:
+            sign = -sign
+        if pos % 2:
+            sign = -sign
+        if present:
+            occ.pop(pos)
+        else:
+            occ.insert(pos, j)
+    return sign, tuple(occ)
 
 
 def mode_index(ms: ModeSet) -> dict:
@@ -295,11 +346,11 @@ def pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                     p_idx = index.get(p_mode)
                     if p_idx is None or inside[p_idx] or p_idx in parts:
                         continue
-                    step1 = _sign_create(occupied, h_idx)
+                    step1 = sign_create(occupied, h_idx)
                     if step1 is None:
                         continue
                     s1, occ1 = step1
-                    step2 = _sign_create(occ1, p_idx)
+                    step2 = sign_create(occ1, p_idx)
                     if step2 is None:
                         continue
                     s2, _ = step2
@@ -335,8 +386,8 @@ def pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matr
                     coeff = v.coeffs.get(k, 0.0)
                     if coeff == 0.0:
                         continue
-                    s1, occ1 = _sign_annihilate(occupied, p_idx)
-                    s2, _ = _sign_annihilate(occ1, h_idx)
+                    s1, occ1 = sign_annihilate(occupied, p_idx)
+                    s2, _ = sign_annihilate(occ1, h_idx)
                     target = (
                         tuple(i for i in parts if i != p_idx),
                         tuple(i for i in holes if i != h_idx),
@@ -376,9 +427,9 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                     l_idx = index.get(l_mode)
                     if l_idx is None or inside[l_idx]:
                         continue
-                    step1 = _sign_annihilate(occupied, j_idx)
+                    step1 = sign_annihilate(occupied, j_idx)
                     s1, occ1 = step1
-                    step2 = _sign_create(occ1, l_idx)
+                    step2 = sign_create(occ1, l_idx)
                     if step2 is None:
                         continue
                     s2, _ = step2
@@ -397,9 +448,9 @@ def pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
                     j_idx = index.get(j_mode)
                     if j_idx is None or not inside[j_idx]:
                         continue
-                    step1 = _sign_annihilate(occupied, l_idx)
+                    step1 = sign_annihilate(occupied, l_idx)
                     s1, occ1 = step1
-                    step2 = _sign_create(occ1, j_idx)
+                    step2 = sign_create(occ1, j_idx)
                     if step2 is None:
                         continue
                     s2, _ = step2
@@ -458,4 +509,134 @@ def assemble(kind: str, basis: FockBasis, v=None, w=None, lam=None) -> sp.csr_ma
             "pair_create", "pair_annihilate", "pair_scatter")]
         h_b, w_b, t, vp, vm, vd = parts
         return (h_b + w_b + t + lam * (vp + vm + vd)).tocsr()
+    if kind == "full_hamiltonian":
+        return full_hamiltonian_matrix(basis, v, w, lam)
+    if kind == "conjugated_hamiltonian":
+        return conjugated_matrix(basis, v, w, lam)
     raise ValueError(f"no oracle for operator kind {kind!r}")
+
+
+def fermion_configs(basis: PhysicalBasis) -> tuple[list, dict]:
+    """The basis's fermion configurations as ascending index tuples, in
+    lexicographic order, and the dict from tuple to configuration index."""
+    configs = list(itertools.combinations(range(len(basis.mode_set)), basis.fermion_count))
+    return configs, {c: i for i, c in enumerate(configs)}
+
+
+def full_hamiltonian_matrix(basis: PhysicalBasis, v, w, lam) -> sp.csr_matrix:
+    """Original-picture Hamiltonian on a fixed fermion-number sector, one
+    fermion configuration and one occupied mode at a time.
+
+    kinetic(bosons) + (1/N)Σ W + kinetic(fermions)
+    + λ Σ_{l,j} V̂(l−j) S_{l−j} ⊗ a*_l a_j  over mode-set pairs.
+    """
+    ms = basis.mode_set
+    bspace = basis._boson
+    nb = basis.boson_dimension
+    dim = basis.dimension
+    configs, index = fermion_configs(basis)
+
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+
+    n = basis.n_bosons
+    const = (n - 1) / 2.0 * w.coefficient(_ZERO) / FOURIER_FACTOR if n >= 1 else 0.0
+    n2 = [_norm2(m) for m in ms.modes]
+    fermi_kin = np.array([float(sum(n2[i] for i in cfg)) for cfg in configs])
+    v0_diag = lam * v.coefficient(_ZERO) * n * basis.fermion_count
+    diag = np.add.outer(fermi_kin, bspace.kinetic + const + v0_diag).ravel()
+    idx = np.arange(dim)
+    rows.append(idx)
+    cols.append(idx)
+    data.append(diag)
+
+    bt, bf, bv = bspace.interaction_entries(w)
+    for f_idx in range(len(configs)):
+        rows.append(bt + f_idx * nb)
+        cols.append(bf + f_idx * nb)
+        data.append(bv)
+
+    modes, where = ms.modes, mode_index(ms)
+    hops = [(delta, coeff, *bspace.shift_entries(delta))
+            for delta, coeff in v.items() if delta != _ZERO]
+    for f_from, cfg in enumerate(configs):
+        occ_set = set(cfg)
+        for j_idx in cfg:
+            for delta, coeff, bt, bf, bv in hops:
+                l_idx = where.get(_add(modes[j_idx], delta))
+                if l_idx is None or l_idx in occ_set:
+                    continue
+                s1, occ1 = sign_annihilate(cfg, j_idx)
+                s2, new_cfg = sign_create(occ1, l_idx)
+                f_to = index[new_cfg]
+                rows.append(bt + f_to * nb)
+                cols.append(bf + f_from * nb)
+                data.append(lam * coeff * s1 * s2 * bv)
+
+    mat = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    return mat.tocsr()
+
+
+def conjugated_matrix(basis: FockBasis, v, w, lam, max_dimension: int = 5000) -> sp.csr_matrix:
+    """Particle-hole conjugate of :func:`full_hamiltonian_matrix` on an
+    unrestricted excitation basis, one excitation block at a time."""
+    ms = basis.mode_set
+    phys = PhysicalBasis(ms, basis.boson_modes, basis.n_bosons, max_dimension=max_dimension)
+    full = full_hamiltonian_matrix(phys, v, w, lam)
+    index = fermion_configs(phys)[1]
+    nb = basis.boson_dimension
+    inside = ms.inside_indices.tolist()
+    rows, cols, vals = [], [], []
+    for parts, holes in block_lists(basis)[0]:
+        sign, image = ph_image(tuple(sorted(parts + holes)), inside)
+        states, configs = basis.block(parts, holes)
+        rows.append(index[image] * nb + configs)
+        cols.append(states)
+        vals.append(np.full(len(states), float(sign)))
+    r = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(phys.dimension, basis.dimension),
+    ).tocsr()
+    return (r.T @ full @ r).tocsr()
+
+
+class OffChargeSpace:
+    """Fermionic occupation space allowing unequal particle and hole counts,
+    as a list of ascending occupation tuples in (particle count, particles,
+    hole count, holes) order and a dict from tuple to index."""
+
+    def __init__(self, mode_set: ModeSet, max_particles: int, max_holes: int):
+        self.mode_set = mode_set
+        outside = mode_set.outside_indices.tolist()
+        inside = mode_set.inside_indices.tolist()
+        configs: list[tuple[int, ...]] = []
+        for np_count in range(max_particles + 1):
+            for parts in itertools.combinations(outside, np_count):
+                for nh_count in range(max_holes + 1):
+                    for holes in itertools.combinations(inside, nh_count):
+                        configs.append(tuple(sorted(parts + holes)))
+        self.configs = configs
+        self.index = {c: i for i, c in enumerate(configs)}
+        pts = mode_set.points
+        signed = (np.where(mode_set.inside, -1, 1) * (pts * pts).sum(axis=1)).tolist()
+        self.t_diag = np.array([float(sum(signed[i] for i in occ)) for occ in configs])
+
+    def ladder(self, idx: int, create: bool) -> sp.csr_matrix:
+        n = len(self.configs)
+        rows, cols, vals = [], [], []
+        for c, occ in enumerate(self.configs):
+            step = sign_create(occ, idx) if create else sign_annihilate(occ, idx)
+            if step is None:
+                continue
+            sign, new = step
+            target = self.index.get(new)
+            if target is None:
+                continue
+            rows.append(target)
+            cols.append(c)
+            vals.append(float(sign))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()

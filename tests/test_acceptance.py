@@ -227,7 +227,7 @@ def test_criterion_05_particle_hole_identity():
 def test_criterion_06_operator_algebra():
     ms = six_mode_set()
     space = _OffChargeSpace(ms, 3, 3)
-    eye = np.eye(len(space.configs))
+    eye = np.eye(space.dimension)
     car = 0.0
     ann = [space.ladder(j, False).toarray() for j in range(len(ms.modes))]
     cre = [space.ladder(j, True).toarray() for j in range(len(ms.modes))]

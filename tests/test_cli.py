@@ -145,10 +145,19 @@ def test_lune_non_finite_option_is_usage_error(runner, tmp_path, option, value):
 
 
 def test_lune_overflowing_sum_prints_inf(runner):
-    with np.errstate(over="ignore"):  # 1/d^-2000 overflows to inf, as intended
-        result = runner.invoke(main, ["lune", "--k", "1,0,0", "--kf2", "4", "--alpha", "-2000"])
+    result = runner.invoke(main, ["lune", "--k", "1,0,0", "--kf2", "4", "--alpha", "-2000"])
     assert result.exit_code == 0
     assert result.stdout.strip() == "inf"
+
+
+def test_lune_overflowing_sum_keeps_stderr_empty():
+    # 1/d^-2000 overflows to inf, the documented result: no NumPy warning
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bfmix", "lune", "--k", "1,0,0", "--kf2", "4", "--alpha", "-2000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "inf", "")
 
 
 def test_lune_malformed_vector_is_usage_error(runner):
@@ -217,6 +226,38 @@ def test_effpot_schema_error_names_field(runner, tmp_path):
     result = runner.invoke(main, ["effpot", "--V", bad, "--kf2", "1"])
     assert result.exit_code == 2
     assert "cutoff" in result.stderr
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"cutoff": True, "coeffs": [[1, 0, 0, 0.3]]}, "field 'cutoff'"),
+    ({"cutoff": 1, "coeffs": [[1, 0, 0, True]]}, "field 'coeffs' row 0"),
+    ({"cutoff": 1, "coeffs": [[1, 0, 0, math.nan]]}, "field 'coeffs' row 0"),
+    ({"cutoff": 1, "coeffs": [[1, 0, 0, math.inf]]}, "field 'coeffs' row 0"),
+    ({"cutoff": 1, "coeffs": [[0, 0, 0, 0.1], [math.nan, 0, 0, 0.3]]}, "field 'coeffs' row 1"),
+], ids=["cutoff-bool", "value-bool", "value-nan", "value-inf", "mode-nan"])
+def test_effpot_non_number_in_fourier_file_is_schema_error(runner, tmp_path, data, field):
+    # Python's json reads true, NaN and Infinity; none is a finite number
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "fourier", **data}))
+    result = runner.invoke(main, ["effpot", "--V", str(bad), "--kf2", "4"])
+    assert result.exit_code == 2
+    assert field in result.stderr
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"r_max": True, "samples": [1.0, 0.0]}, "field 'r_max'"),
+    ({"r_max": math.inf, "samples": [1.0, 0.0]}, "field 'r_max'"),
+    ({"r_max": 2.0, "samples": [1.0, True, 0.0]}, "field 'samples'"),
+    ({"r_max": 2.0, "samples": [1.0, math.nan, 0.0]}, "field 'samples'"),
+], ids=["r-max-bool", "r-max-inf", "sample-bool", "sample-nan"])
+def test_scatter_non_number_in_radial_file_is_schema_error(runner, radial_files, tmp_path,
+                                                           data, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "radial", **data}))
+    result = runner.invoke(main, ["scatter", "--w", str(bad), "--v", radial_files["v"],
+                                  "--g", "0:0.1:0.1"])
+    assert result.exit_code == 2
+    assert field in result.stderr
 
 
 def test_effpot_sweep_sup_difference_monotone(runner, fourier_files):
@@ -569,6 +610,22 @@ def test_spectrum_particle_hole_check_line(runner, fourier_files, tmp_path):
     assert result.exit_code == 0
     assert "particle_hole_residual" in result.output
     assert "pass" in result.output
+
+
+@pytest.mark.parametrize("checks, code", [(["compare", "overlap"], 0), (["overlap"], 3)])
+def test_spectrum_overlap_on_a_one_state_sector_is_a_failed_row(runner, fourier_files,
+                                                                tmp_path, checks, code):
+    # One boson has one zero-momentum state: the overlap has no gap to test,
+    # so its row fails and names the sector, and the run goes on.
+    cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
+                          n_bosons=1, kf2_list=[1], checks=checks)
+    result = runner.invoke(main, ["spectrum", "--config", cfg])
+    assert result.exit_code == code
+    rows = json.loads(result.output)["summary_rows"]
+    assert [r["failed"] for r in rows] == [False] * (len(checks) - 1) + [True]
+    assert rows[-1]["check"] == "overlap"
+    assert "effective boson sector at kf2 1 has 1 state;" in rows[-1]["message"]
+    assert "n_eigenvalues" not in rows[-1]["message"]
 
 
 def test_spectrum_all_rows_failed_nonzero_exit(runner, fourier_files, tmp_path):

@@ -1,20 +1,39 @@
-"""Array assembly of the FockBasis operators, pinned to the per-transition oracle.
+"""Array assembly of the Fock operators, pinned to the per-transition oracle.
 
 ``bfmix.fock`` assembles pair creation, annihilation and scattering with one
 array pass per (pair level, column, coupling mode), and expands boson
-blocks and diagonals by broadcasting.  ``fock_oracles`` keeps the
-generator assembly it replaced.  Every operator kind must come out with the
-same CSR bytes, so spectra, residuals and reports stay byte-identical.
+blocks and diagonals by broadcasting.  The original-picture Hamiltonian,
+its particle-hole conjugate and the off-charge ladders read fermion
+configurations as rows of occupied indices ranked in closed form.
+``fock_oracles`` keeps the per-configuration assembly they replaced.  Every
+operator must come out with the same CSR bytes, so spectra, residuals and
+reports stay byte-identical.
 """
+
+import ast
+import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bfmix.fock as fock_module
 from bfmix.errors import CapacityError
-from bfmix.fock import FockBasis, ModeSet, OperatorHandle, _exc_keys
+from bfmix.fock import (
+    FockBasis,
+    ModeSet,
+    OperatorHandle,
+    PhysicalBasis,
+    _combinations,
+    _exc_keys,
+    _OffChargeSpace,
+    _ph_sign,
+    _subset_rank,
+)
 from bfmix.potentials import FourierPotential
 
-from fock_oracles import assemble
+from fock_oracles import OffChargeSpace, assemble, ph_image
+from test_fock import draw_potentials, sample_v, sample_w, six_mode_set
 
 SEVEN = ModeSet.ball(1, 1).modes  # the zero mode and its six neighbours
 KINDS = (
@@ -113,3 +132,97 @@ def test_key_guard_rejects_bases_that_would_overflow():
     # six pairs fit: 27**12 < 2**63
     basis = FockBasis(ms, [(0, 0, 0)], 1, 6, (0, 0, 0), max_dimension=10**6)
     assert len(basis._levels) == 7
+
+
+# The 22 dense particle-hole instances of acceptance criterion 5: the sample
+# potentials with one and two bosons, then 20 seeded draws with one boson.
+PH_INSTANCES = [(1, sample_v(), sample_w()), (2, sample_v(), sample_w())] + [
+    (1, *draw_potentials(77, i)) for i in range(20)
+]
+
+
+def lexicographic_six() -> ModeSet:
+    """The six modes in lexicographic order: inside indices 1-3 sit between
+    outside ones."""
+    return ModeSet(sorted(six_mode_set().modes), kf2=1, symmetric=False)
+
+
+@pytest.mark.parametrize("mode_set,n_bosons,v,w", [(six_mode_set, *case) for case in PH_INSTANCES]
+                         + [(lexicographic_six, *case) for case in PH_INSTANCES[:2]])
+def test_full_and_conjugated_hamiltonians_match_oracle_bitwise(mode_set, n_bosons, v, w):
+    ms = mode_set()
+    boson_modes = [ms.modes[i] for i in ms.inside_indices]
+    phys = PhysicalBasis(ms, boson_modes, n_bosons)
+    op = OperatorHandle("full_hamiltonian", phys, v=v, w=w)
+    assert_same_csr(op.matrix(), assemble("full_hamiltonian", phys, v, w, op.lam), "full")
+    basis = FockBasis(ms, boson_modes, n_bosons, min(ms.n_inside, ms.n_outside))
+    op = OperatorHandle("conjugated_hamiltonian", basis, v=v, w=w)
+    assert_same_csr(op.matrix(), assemble("conjugated_hamiltonian", basis, v, w, op.lam),
+                    "conjugated")
+
+
+@pytest.mark.parametrize("count", [2, 3, 31, 32])
+def test_full_hamiltonian_on_the_ball_matches_oracle_bitwise(count):
+    # 33 modes: 32 fermions is a near-full sector, whose rank must stay
+    # below the configuration count where a base-33 key would not fit int64.
+    ball = ModeSet.ball(4, 1)
+    phys = PhysicalBasis(ball, SEVEN if count != 3 else [(0, 0, 0)], 1, count,
+                         max_dimension=10**5)
+    op = OperatorHandle("full_hamiltonian", phys, v=V_THREE, w=W)
+    assert_same_csr(op.matrix(), assemble("full_hamiltonian", phys, V_THREE, W, op.lam),
+                    f"{count} fermions")
+
+
+@pytest.mark.parametrize("mode_set,max_particles,max_holes", [
+    (six_mode_set(), 3, 3), (ModeSet.ball(4, 1), 2, 2), (ModeSet.ball(4, 1), 1, 3),
+    (lexicographic_ball(2, 1), 2, 1),
+])
+def test_off_charge_ladders_match_oracle_bitwise(mode_set, max_particles, max_holes):
+    space = _OffChargeSpace(mode_set, max_particles, max_holes)
+    oracle = OffChargeSpace(mode_set, max_particles, max_holes)
+    assert space.dimension == len(oracle.configs)
+    assert space.t_diag.tobytes() == oracle.t_diag.tobytes()
+    for j, create in itertools.product(range(len(mode_set)), (True, False)):
+        assert_same_csr(space.ladder(j, create), oracle.ladder(j, create), (j, create))
+
+
+@pytest.mark.parametrize("mode_set,max_particles,max_holes,cap", [
+    (six_mode_set(), 3, 3, 63),  # 64 configurations
+    (ModeSet.ball(100, 1), 40, 5, 200_000),  # C(4162, 40) alone overflows int64
+])
+def test_off_charge_capacity_checked_before_enumeration(mode_set, max_particles, max_holes,
+                                                        cap):
+    with pytest.raises(CapacityError, match="fermionic space dimension"):
+        _OffChargeSpace(mode_set, max_particles, max_holes, cap)
+
+
+def test_particle_hole_sign_matches_oracle_on_every_subset():
+    # every occupation of six modes against every set of inside modes, so
+    # inside and outside indices interleave in every way
+    subsets = [s for c in range(7) for s in itertools.combinations(range(6), c)]
+    for inside in subsets:
+        for occ in subsets:
+            got = _ph_sign(np.array([occ], dtype=np.int64).reshape(1, len(occ)),
+                           np.array(inside, dtype=np.int64))
+            assert got.tolist() == [ph_image(occ, inside)[0]], (occ, inside)
+
+
+@pytest.mark.parametrize("n,c", [(1, 0), (1, 1), (6, 3), (12, 5), (33, 2), (33, 32), (62, 60)])
+def test_subset_rank_counts_combinations_in_order(n, c):
+    rows = _combinations(np.arange(n), c)
+    assert np.array_equal(_subset_rank(rows, n), np.arange(len(rows)))
+
+
+def test_fock_module_keeps_one_fermion_sign_rule():
+    # Fermion signs are array passes through one helper; the per-tuple sign
+    # and particle-hole walkers live in tests/fock_oracles.py.
+    tree = ast.parse(Path(fock_module.__file__).read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "bisect" not in imported
+    assert defined & {"_sign_create", "_sign_annihilate", "_ph_image"} == set()
