@@ -177,7 +177,10 @@ def _parse_ivec(text: str):
 
 
 def _parse_vec_list(text: str):
-    return [_parse_ivec(part) for part in text.split(";") if part]
+    values = [_parse_ivec(part) for part in text.split(";") if part]
+    if not values:
+        raise ValidationError(f"expected a nonempty list 'kx,ky,kz;...', got {text!r}")
+    return values
 
 
 def _parse_int_list(text: str):

@@ -48,23 +48,25 @@ A :class:`FockBasis` is a run of excitation blocks in (pair count, particle
 indices, hole indices) order; a block holds the boson configurations of one
 momentum class at consecutive state indices.  The layout exists only as
 arrays: per pair level a ``_Level`` (the blocks' particle and hole ModeSet
-indices, their sorted integer keys, the level's first block index), per block
+indices, their sorted keys, the level's first block index), per block
 its class id ``_cid`` and first state index ``_starts``, and per class id
 its boson configurations ``_members``.  :meth:`FockBasis.block` maps one
-block, given as sorted particle and hole ModeSet indices, to its state
+block, given as ascending particle and hole ModeSet indices, to its state
 indices and boson-configuration indices (None when the basis lacks it); code
 outside this module reads blocks only through it.
 
 Fermion layout
 --------------
-A fermion configuration is an ascending row of occupied ModeSet indices; its
-index is its closed-form lexicographic combination rank ``C(n, c) - 1 -
-Σ_i C(n - 1 - a_i, c - i)`` (``_subset_rank``), never above the number of
-configurations, so no key overflows.  :class:`PhysicalBasis` keeps one
-``(n_conf, count)`` array ``occupied``; ``_OffChargeSpace`` keeps particle
-and hole rows per count.  Every sign goes through ``_below``, so the full
-Hamiltonian, its particle-hole conjugate and the off-charge ladders are array
-passes.
+A fermion configuration is an ascending row of occupied ModeSet indices, and
+one rule indexes them all: the closed-form lexicographic combination rank
+``C(n, c) - 1 - Σ_i C(n - 1 - a_i, c - i)`` (``_subset_rank``), never above
+the number of configurations, so no key overflows.  :class:`PhysicalBasis`
+ranks its rows ``occupied`` among all modes; ``FockBasis`` and
+``_OffChargeSpace`` rank particle rows among the outside modes and hole rows
+among the inside ones (``ModeSet._side_pos``, each mode's position within its
+side), and a ``FockBasis`` block of ``p`` pairs with ranks ``r_p`` and ``r_h``
+has key ``r_p * C(n_inside, p) + r_h``.  Every sign goes through ``_below``:
+the full Hamiltonian, its conjugate and the off-charge ladders are array passes.
 
 Operator kinds
 --------------
@@ -88,6 +90,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +99,7 @@ import scipy.sparse as sp
 from .errors import CapacityError, ValidationError
 from .lattice import _ball_points
 from .potentials import FOURIER_FACTOR, FourierPotential, default_coupling
-from .util import IVec, _ivec, _neg, _sub, rng
+from .util import IVec, _is_number, _ivec, _neg, _sub, rng
 
 _ZERO: IVec = (0, 0, 0)
 
@@ -135,7 +138,7 @@ class ModeSet:
 
     @staticmethod
     def _checked_kf2(kf2) -> int:
-        if not math.isfinite(kf2) or int(kf2) != kf2 or kf2 <= 0:
+        if not _is_number(kf2, numbers.Real) or int(kf2) != kf2 or kf2 <= 0:
             raise ValidationError("kf2 must be a positive integer")
         return int(kf2)
 
@@ -144,6 +147,7 @@ class ModeSet:
         self.kf2 = self._checked_kf2(kf2)
         self.points = points
         self.inside = np.einsum("ij,ij->i", points, points) <= self.kf2
+        self._side_pos = np.where(self.inside, np.cumsum(self.inside), np.cumsum(~self.inside)) - 1
         keys = points @ _KEY_WEIGHTS
         self._order = np.argsort(keys, kind="stable")
         self._keys = keys[self._order]
@@ -389,14 +393,6 @@ def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, rows[srt[new]]
 
 
-def _exc_keys(parts: np.ndarray, holes: np.ndarray, base: int) -> np.ndarray:
-    """Rows ``(parts, holes)`` read as base-``base`` numbers: in tuple order."""
-    key = np.zeros(len(parts), dtype=np.int64)
-    for col in np.hstack([parts, holes]).T:
-        key = key * base + col
-    return key
-
-
 def _below(occ: np.ndarray, x) -> np.ndarray:
     """Occupied indices below ``x`` per row of ``occ`` (``x`` one per row, or
     one for all): a ladder operator at ``x`` carries ``(-1)`` to that power."""
@@ -432,11 +428,14 @@ class _Level:
     parts: np.ndarray
     holes: np.ndarray
     keys: np.ndarray
-    base: int
+    mode_set: ModeSet
 
     def find(self, parts, holes) -> np.ndarray:
-        """Block index of each row ``(parts, holes)``; -1 where absent."""
-        key = _exc_keys(parts, holes, self.base)
+        """Block index of each row ``(parts, holes)`` of ascending particle
+        (outside) and hole (inside) indices; -1 where absent."""
+        ms, side = self.mode_set, self.mode_set._side_pos
+        key = (_subset_rank(side[parts], ms.n_outside) * math.comb(ms.n_inside, parts.shape[1])
+               + _subset_rank(side[holes], ms.n_inside))
         if not len(self.keys):
             return np.full(len(key), -1)
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
@@ -513,14 +512,12 @@ class FockBasis:
             raise CapacityError(
                 f"basis dimension {total} exceeds the cap {max_dimension}"
             )
-        if len(modes) ** (2 * top) > 2**63:
-            raise CapacityError(f"keys of {top} pairs on {len(modes)} modes overflow int64")
         self.dimension = total
         if self.momentum_sector is None:  # one class: all momenta match
             matches = [self._match(0 * modes, p) for p in range(top + 1)]
 
-        # Blocks in (pair count, particles, holes) order: expand each (hole
-        # momentum, class) cell into hole rows x part rows, sort by key.
+        # Blocks in (pair count, particles, holes) order: expand each (hole momentum,
+        # class) cell into part x hole rows, keyed by the row numbers (their ranks).
         levels: list[_Level] = []
         cids = []
         for parts, holes, h_order, h_n, order, lo, hi in matches:
@@ -530,12 +527,12 @@ class FockBasis:
             i = np.arange(cell.size) - (np.cumsum(n) - n)[cell]
             u, cid = np.divmod(cell, m.shape[1])
             mc = m.ravel()[cell]
-            parts = parts[order[lo.ravel()[cell] + i % mc]]
-            holes = holes[h_order[(np.cumsum(h_n) - h_n)[u] + i // mc]]
-            keys = _exc_keys(parts, holes, len(modes))
+            keys = order[lo.ravel()[cell] + i % mc] * len(holes)
+            keys += h_order[(np.cumsum(h_n) - h_n)[u] + i // mc]
             srt = np.argsort(keys, kind="stable")
             first = sum(len(v.keys) for v in levels)
-            levels.append(_Level(first, parts[srt], holes[srt], keys[srt], len(modes)))
+            r_p, r_h = np.divmod(keys[srt], len(holes))
+            levels.append(_Level(first, parts[r_p], holes[r_h], keys[srt], mode_set))
             cids.append(cid[srt])
         self._levels = levels
         self._cid = np.concatenate(cids)
@@ -567,12 +564,16 @@ class FockBasis:
     # -- lookup ---------------------------------------------------------
     def block(self, parts, holes) -> tuple[np.ndarray, np.ndarray] | None:
         """State indices and boson-configuration indices of the excitation
-        block with sorted particle and hole ModeSet indices ``parts`` and
-        ``holes``; None when the basis has no such block."""
+        block with strictly ascending particle (outside) and hole (inside)
+        ModeSet indices ``parts`` and ``holes``; None for any other rows or
+        when the basis has no such block."""
         p = len(parts)
         if p != len(holes) or p >= len(self._levels):
             return None
-        rows = np.array([parts, holes], dtype=np.int64).reshape(2, 1, p)
+        rows, ms = np.array([parts, holes], dtype=np.int64).reshape(2, 1, p), self.mode_set
+        if (rows.min(initial=0) < 0 or rows.max(initial=0) >= len(ms) or (np.diff(rows) <= 0).any()
+                or (ms.inside[rows] != [[[False]], [[True]]]).any()):  # ranks alias other rows
+            return None
         e = int(self._levels[p].find(*rows)[0])
         if e < 0:
             return None
@@ -1182,8 +1183,6 @@ class _OffChargeSpace:
         self._sizes = tuple(len(side) for side in sides)
         self._rows = tuple([_combinations(side, c) for c in range(top + 1)]
                            for side, top in zip(sides, self._max))
-        inside = mode_set.inside
-        self._pos = np.where(inside, np.cumsum(inside), np.cumsum(~inside)) - 1  # within its side
         n2 = (mode_set.points * mode_set.points).sum(axis=1)
         t = [np.concatenate([n2[rows].sum(1) for rows in side]) for side in self._rows]
         self.t_diag = np.subtract.outer(*t).ravel().astype(float)
@@ -1202,7 +1201,7 @@ class _OffChargeSpace:
             else:
                 new = rows[r][rows[r] != idx].reshape(len(r), count - 1)
             to.append(self._first[side][count + step]
-                      + _subset_rank(self._pos[new], self._sizes[side]))
+                      + _subset_rank(self.mode_set._side_pos[new], self._sizes[side]))
             src.append(self._first[side][count] + r)
             sign.append((-1.0) ** _below(rows[r], idx))
         return tuple(map(np.concatenate, (to, src, sign)))

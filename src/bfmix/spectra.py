@@ -587,8 +587,7 @@ def default_cutoff_rule(kf2: int) -> float:
     interspecies mode of length at most two has its full lune inside
     the mode set.
     """
-    if kf2 <= 0:
-        raise ValidationError("kf2 must be a positive integer")
+    kf2 = ModeSet._checked_kf2(kf2)
     return kf2 + 4.0 * math.sqrt(kf2) + 4.0
 
 
@@ -639,9 +638,7 @@ def effective_spectrum(
         w_base = effective_potential_limit(w, v).base
         ms_kf2 = 1
     else:
-        if kf2 != int(kf2) or kf2 <= 0:
-            raise ValidationError("kf2 must be a positive integer or None")
-        kf2 = int(kf2)
+        kf2 = ModeSet._checked_kf2(kf2)
         w_base = linear_combination(
             1.0,
             w,
@@ -1045,9 +1042,7 @@ def theorem1_compare(
     rule = lambda_rule if lambda_rule is not None else default_cutoff_rule
     reports: list[SpectrumReport] = []
     for kf2 in kf2_list:
-        if kf2 != int(kf2) or kf2 <= 0:
-            raise ValidationError("each kf2 must be a positive integer")
-        kf2 = int(kf2)
+        kf2 = ModeSet._checked_kf2(kf2)
         lam2 = float(rule(kf2))
         if lam2 <= kf2:
             raise ValidationError(
@@ -1130,9 +1125,7 @@ def corollary_overlap(
     :class:`~bfmix.errors.DegeneracyError`, since the overlap is not a
     well-defined diagnostic for degenerate ground spaces.
     """
-    if kf2 != int(kf2) or kf2 <= 0:
-        raise ValidationError("kf2 must be a positive integer")
-    kf2 = int(kf2)
+    kf2 = ModeSet._checked_kf2(kf2)
     if lam2 is None:
         lam2 = default_cutoff_rule(kf2)
     sector = _effective_basis(v, w, n_bosons, kf2, float(lam2), boson_cutoff, max_dimension)[2]
@@ -1247,9 +1240,7 @@ def quadratic_decomposition_check(
     """
     if n_bosons < 1:
         raise ValidationError("need at least one boson")
-    if kf2 != int(kf2) or kf2 <= 0:
-        raise ValidationError("kf2 must be a positive integer")
-    kf2 = int(kf2)
+    kf2 = ModeSet._checked_kf2(kf2)
     if lam2 is None:
         lam2 = default_cutoff_rule(kf2)
     lam2 = float(lam2)

@@ -17,9 +17,14 @@ IVec = tuple[int, int, int]
 
 
 def _ivec(k) -> IVec:
-    """Validate an integer 3-vector: three integral components, no bool."""
-    parts = tuple(k)
-    if len(parts) != 3 or any(isinstance(c, bool) or int(c) != c for c in parts):
+    """Validate an integer 3-vector: three integral components, no bool;
+    anything else (an infinity, NaN, a string, None) is a ValidationError."""
+    try:
+        parts = tuple(k)
+        bad = len(parts) != 3 or any(isinstance(c, bool) or int(c) != c for c in parts)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    if bad:
         raise ValidationError(f"mode {k!r} is not an integer 3-vector")
     return (int(parts[0]), int(parts[1]), int(parts[2]))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -182,6 +183,16 @@ def test_lune_sweep_csv_shape_and_determinism(runner):
     assert lines[1] == "# tool_version: 0.1.0"
     assert lines[2].split(",")[:5] == ["kx", "ky", "kz", "kF_squared", "regime"]
     assert len(lines) == 3 + 4  # two modes times two cutoffs
+
+
+@pytest.mark.parametrize("flag,value", [("--k-list", ";"), ("--k-list", ""),
+                                        ("--kf2-list", ","), ("--kf2-list", "")])
+def test_lune_sweep_empty_list_is_usage_error(runner, flag, value):
+    lists = {"--k-list": "1,0,0", "--kf2-list": "1", flag: value}
+    result = runner.invoke(main, ["lune", "--sweep", *itertools.chain(*lists.items())])
+    assert result.exit_code == 2
+    assert "nonempty" in result.stderr
+    assert result.stdout == ""
 
 
 def test_lune_cache_hit_matches_cold_run(runner, tmp_path):

@@ -191,15 +191,19 @@ class TestModeSet:
 
     def test_ball_holds_arrays_only(self):
         # one stored representation: the (norm, lex) points, the inside
-        # mask and the sorted keys; no per-mode tuple or dict
+        # mask with each mode's position in its side, and the sorted keys;
+        # no per-mode tuple or dict
         ms = ModeSet.ball(default_cutoff_rule(400), 400)
         assert len(ms) == 44473
-        assert vars(ms).keys() == {"kf2", "points", "inside", "_order", "_keys", "_nbr"}
+        assert vars(ms).keys() == {"kf2", "points", "inside", "_side_pos", "_order", "_keys",
+                                   "_nbr"}
         for value in vars(ms).values():
             assert not (isinstance(value, (tuple, list, dict)) and len(value) == len(ms))
         assert ms.points.shape == (len(ms), 3) and ms.points.dtype == np.int64
         assert ms.inside.dtype == bool and ms.n_inside == len(ball_modes(400))
         assert np.all(np.diff(ms._keys) > 0)
+        for side in (ms.inside_indices, ms.outside_indices):
+            assert ms._side_pos[side].tolist() == list(range(len(side)))
 
     @pytest.mark.parametrize("k", [(1, 0, 0), (-2, 1, 0), (0, 0, 0), (7, -3, 5),
                                    (45, 0, 0), (2**19 - 1, 0, 0), (0, 2**19, 0)])

@@ -12,6 +12,7 @@ reports stay byte-identical.
 
 import ast
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from bfmix.fock import (
     OperatorHandle,
     PhysicalBasis,
     _combinations,
-    _exc_keys,
     _OffChargeSpace,
     _ph_sign,
     _subset_rank,
@@ -98,40 +98,66 @@ def test_operators_match_oracle_bitwise(kf2, lam2, n_bosons, max_pairs, sector, 
 
 
 def test_pair_levels_hold_sorted_keys_of_the_blocks():
-    basis = FockBasis(ModeSet.ball(3, 1), SEVEN, 2, 2, (1, 0, 0))
-    exc = []
-    for p, lev in enumerate(basis._levels):
-        assert lev.parts.shape == lev.holes.shape == (len(lev.keys), p)
-        assert lev.first == len(exc)
-        assert np.all(np.diff(lev.keys) > 0)
-        assert np.array_equal(lev.keys, _exc_keys(lev.parts, lev.holes, len(basis.mode_set)))
-        exc += [(tuple(a), tuple(b)) for a, b in zip(lev.parts.tolist(), lev.holes.tolist())]
-    assert len(exc) == len(basis._cid) == len(basis._starts)
+    # A block's key is the rank of its particle row among the outside modes
+    # times C(n_inside, p), plus the rank of its hole row among the inside
+    # modes; the interleaved ball puts inside indices between outside ones.
+    for mode_set in (ModeSet.ball(3, 1), lexicographic_ball(3, 1)):
+        basis = FockBasis(mode_set, SEVEN, 2, 2, (1, 0, 0))
+        outside, inside = mode_set.outside_indices, mode_set.inside_indices
+        exc = []
+        for p, lev in enumerate(basis._levels):
+            assert lev.parts.shape == lev.holes.shape == (len(lev.keys), p)
+            assert lev.first == len(exc)
+            assert np.all(np.diff(lev.keys) > 0)
+            r_p = _subset_rank(np.searchsorted(outside, lev.parts), len(outside))
+            r_h = _subset_rank(np.searchsorted(inside, lev.holes), len(inside))
+            assert np.array_equal(lev.keys, r_p * math.comb(len(inside), p) + r_h)
+            assert np.array_equal(lev.find(lev.parts, lev.holes),
+                                  lev.first + np.arange(len(lev.keys)))
+            exc += [(tuple(a), tuple(b)) for a, b in zip(lev.parts.tolist(), lev.holes.tolist())]
+        assert exc == sorted(exc, key=lambda e: (len(e[0]), e))
+        assert len(exc) == len(basis._cid) == len(basis._starts)
 
 
-@pytest.mark.parametrize("pairs", [1, 2, 3, 4, 7])
-def test_largest_key_fits_int64_at_the_guard(pairs):
-    # The largest base the guard admits: base**(2 p) <= 2**63.
-    base = int(round(2 ** (63 / (2 * pairs))))
-    while base ** (2 * pairs) > 2**63:
-        base -= 1
-    while (base + 1) ** (2 * pairs) <= 2**63:
-        base += 1
-    top = np.full((1, pairs), base - 1, dtype=np.int64)
-    (key,) = _exc_keys(top, top, base).tolist()
-    assert key == base ** (2 * pairs) - 1 <= 2**63 - 1
-
-
-def test_key_guard_rejects_bases_that_would_overflow():
-    # 27 modes, 7 inside: seven pairs need 27**14 > 2**63 keys, while the
-    # closed-form dimension C(27, 7) stays under the dimension cap.
+def test_seven_pairs_on_27_modes_build_and_every_block_maps_back():
+    # 27 modes, 7 inside: C(27, 7) states, under the dimension cap, although
+    # a key read as base-27 digits would need 27**14 > 2**63.
     ms = ModeSet.ball(3, 1)
     assert (ms.n_inside, len(ms)) == (7, 27)
-    with pytest.raises(CapacityError, match="overflow int64"):
-        FockBasis(ms, [(0, 0, 0)], 1, 7, max_dimension=10**6)
-    # six pairs fit: 27**12 < 2**63
-    basis = FockBasis(ms, [(0, 0, 0)], 1, 6, (0, 0, 0), max_dimension=10**6)
-    assert len(basis._levels) == 7
+    basis = FockBasis(ms, [(0, 0, 0)], 1, 7, max_dimension=10**6)
+    assert basis.dimension == len(basis._cid) == math.comb(27, 7)
+    for lev in basis._levels:
+        found = lev.find(lev.parts, lev.holes)
+        assert np.array_equal(found, lev.first + np.arange(len(lev.keys)))
+    sector = FockBasis(ms, [(0, 0, 0)], 1, 7, (0, 0, 0), max_dimension=10**6)
+    assert len(sector._levels) == 8 and len(sector._levels[7].keys) > 0
+    for lev in sector._levels:
+        rows = zip(lev.parts.tolist(), lev.holes.tolist())
+        for e, (parts, holes) in enumerate(rows, lev.first):
+            states, configs = sector.block(parts, holes)
+            assert configs is sector._members[sector._cid[e]]
+            start = sector._starts[e]
+            assert states.tolist() == list(range(start, start + len(configs)))
+
+
+@pytest.mark.parametrize("parts,holes", [
+    ((8, 7), (0, 1)),  # unsorted particles
+    ((7, 8), (1, 0)),  # unsorted holes
+    ((7, 7), (0, 1)),  # repeated particle
+    ((7, 8), (1, 1)),  # repeated hole
+    ((7, 8), (0, 9)),  # a hole outside
+    ((0, 8), (1, 2)),  # a particle inside
+    ((7,), (8,)),  # a hole outside, one pair
+    ((7, 27), (0, 1)),  # past the last mode
+    ((-1, 8), (0, 1)),  # negative
+    ((7, 8), (-26, 1)),  # negative, the index of an inside mode counted from the end
+    ((7, 8 + 2**40), (0, 1)),  # far out of range
+])
+def test_block_refuses_rows_that_are_not_ascending_in_range_and_on_their_side(parts, holes):
+    # 27 modes, inside indices 0-6: a rank of such rows could alias another block
+    basis = FockBasis(ModeSet.ball(3, 1), [(0, 0, 0)], 1, 2, max_dimension=10**6)
+    assert basis.block((7, 8), (0, 1)) is not None
+    assert basis.block(parts, holes) is None
 
 
 # The 22 dense particle-hole instances of acceptance criterion 5: the sample
@@ -226,3 +252,5 @@ def test_fock_module_keeps_one_fermion_sign_rule():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "bisect" not in imported
     assert defined & {"_sign_create", "_sign_annihilate", "_ph_image"} == set()
+    # one rank rule: no positional (base-len(modes)) block key beside _subset_rank
+    assert "_exc_keys" not in defined

@@ -459,6 +459,25 @@ def test_default_cutoff_rule():
         default_cutoff_rule(0)
 
 
+# every entry point that takes kf2 checks it through ModeSet._checked_kf2
+KF2_ENTRY_POINTS = {
+    "default_cutoff_rule": default_cutoff_rule,
+    "effective_spectrum": lambda kf2: effective_spectrum(single_mode_v(), sample_w(), kf2, 2),
+    "theorem1_compare": lambda kf2: theorem1_compare(single_mode_v(), sample_w(), 2, [kf2]),
+    "corollary_overlap": lambda kf2: corollary_overlap(single_mode_v(), sample_w(), 2, kf2),
+    "quadratic_decomposition_check":
+        lambda kf2: quadratic_decomposition_check(single_mode_v(), 2, kf2),
+}
+
+
+@pytest.mark.parametrize("kf2", [math.inf, math.nan, True, 2.5, 0],
+                         ids=["inf", "nan", "bool", "fractional", "zero"])
+@pytest.mark.parametrize("entry", sorted(KF2_ENTRY_POINTS))
+def test_kf2_entry_points_reject_non_positive_integers(entry, kf2):
+    with pytest.raises(ValidationError, match="kf2 must be a positive integer"):
+        KF2_ENTRY_POINTS[entry](kf2)
+
+
 # ----------------------------------------------------------------------
 # effective spectrum
 # ----------------------------------------------------------------------
