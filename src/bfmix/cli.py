@@ -78,8 +78,6 @@ from .spectra import (
     default_cutoff_rule,
     lowest_eigenvalues,
     quadratic_decomposition_check,
-    reports_csv,
-    reports_json,
     theorem1_compare,
 )
 from .util import _is_number, content_hash, rng
@@ -537,6 +535,35 @@ def _load_or_zero(path: str | None) -> FourierPotential:
     return load_fourier(path) if path else zero_potential()
 
 
+# compare.json names of the SpectrumReport fields spelled differently there
+_REPORT_JSON_NAMES = {
+    "kf2": "kF_squared", "lam2": "kF_cutoff_squared", "lam": "lambda", "mu_h": "mu_H",
+    "residuals_h": "residuals_H", "w_kf0": "W_kF0", "q_diag": "Q", "envelope_c": "envelope_C",
+    "method_h": "method_H", "iterations_h": "iterations_H",
+}
+
+_COMPARE_HEADER = ["kF_squared", "index", "mu_H", "mu_eff", "eff_side", "diff", "W_kF0",
+                   "trial_rayleigh", "overlap", "Q", "envelope_value", "envelope_C", "lambda",
+                   "dim_full", "dim_boson", "failed"]
+
+
+def _compare_csv_rows(reports) -> list[list]:
+    """compare.csv rows, one per report and eigenvalue index (one for a
+    failed report, whose numbers are blank)."""
+    rows = []
+    for r in reports:
+        ok = not r.failed
+        for i in range(max(len(r.mu_h), 1)):
+            rows.append(
+                [r.kf2, i]
+                + [xs[i] if i < len(xs) else None for xs in (r.mu_h, r.mu_eff, r.eff_side, r.diff)]
+                + [r.w_kf0 if ok else None, r.trial_rayleigh if i == 0 else None,
+                   r.overlap if i == 0 else None, r.q_diag if ok else None,
+                   r.envelope_value, r.envelope_c, r.lam if ok else None,
+                   r.dims.get("full"), r.dims.get("boson"), int(r.failed)])
+    return rows
+
+
 _PH_MODES = ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 0, 0))
 
 
@@ -590,10 +617,10 @@ def cmd_spectrum(config_path, check_name, out_dir) -> None:
         )
         json_path = os.path.join(out_base, "compare.json")
         csv_path = os.path.join(out_base, "compare.csv")
-        _write_text(json_path, _dump_json({"meta": meta, "rows": reports_json(reports)}))
-        csv_meta_lines = "".join(
-            f"# {key}: {meta[key]}\n" for key in sorted(meta))
-        _write_text(csv_path, csv_meta_lines + reports_csv(reports))
+        rows = [{_REPORT_JSON_NAMES.get(name, name): value
+                 for name, value in dataclasses.asdict(rep).items()} for rep in reports]
+        _write_text(json_path, _dump_json({"meta": meta, "rows": rows}))
+        _write_text(csv_path, _csv_text(meta, _COMPARE_HEADER, _compare_csv_rows(reports)))
         for rep in reports:
             outcomes.append(("capacity", rep.failed))
             summary_rows.append({

@@ -16,8 +16,9 @@ Conventions shared with :mod:`bfmix.potentials`:
   annihilates the state (hard truncation).
 * Fermionic occupations are ordered by their ModeSet index; creation and
   annihilation signs count occupied modes below the target index.
-* Every operator is real.  Pair creation and pair annihilation are exact
-  transposes of each other; all Hamiltonians are symmetric.
+* Every operator is real.  Pair annihilation is built as the transpose of
+  pair creation, so the two are exact transposes by construction; all
+  Hamiltonians are symmetric.
 
 Operators cost O(nnz) array work to assemble; the per-transition and
 per-configuration loops they replaced are the oracles in
@@ -565,10 +566,11 @@ class FockBasis:
     def block(self, parts, holes) -> tuple[np.ndarray, np.ndarray] | None:
         """State indices and boson-configuration indices of the excitation
         block with strictly ascending particle (outside) and hole (inside)
-        ModeSet indices ``parts`` and ``holes``; None for any other rows or
-        when the basis has no such block."""
+        ModeSet indices ``parts`` and ``holes``; None for any other rows
+        (a fractional or bool index too) or when the basis has no such block."""
         p = len(parts)
-        if p != len(holes) or p >= len(self._levels):
+        if (p != len(holes) or p >= len(self._levels)
+                or not all(_is_number(i, numbers.Integral) for i in (*parts, *holes))):
             return None
         rows, ms = np.array([parts, holes], dtype=np.int64).reshape(2, 1, p), self.mode_set
         if (rows.min(initial=0) < 0 or rows.max(initial=0) >= len(ms) or (np.diff(rows) <= 0).any()
@@ -916,26 +918,6 @@ def _pair_create_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     return _coupling_blocks(basis, transitions())
 
 
-def _pair_annihilate_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
-    """One-pair annihilation: Σ_k V̂(k) S_{-k} ⊗ Σ_{p-h=k} a_h a_p."""
-    ms = basis.mode_set
-
-    def transitions():
-        for prev, lev in zip(basis._levels, basis._levels[1:]):
-            for k, coeff in v.items():
-                if k == _ZERO or coeff == 0.0:
-                    continue
-                nbr = ms._neighbours(k)
-                for a, b in itertools.product(range(lev.parts.shape[1]), repeat=2):
-                    r = np.flatnonzero(nbr[lev.holes[:, b]] == lev.parts[:, a])
-                    parts, holes = lev.parts[r], lev.holes[r]
-                    e_to = prev.find(np.delete(parts, a, 1), np.delete(holes, b, 1))
-                    sign = _ladder_sign(np.hstack([parts, holes]), parts[:, a], holes[:, b])
-                    yield e_to, lev.first + r, coeff * sign, basis._shift_blocks(_neg(k))
-
-    return _coupling_blocks(basis, transitions())
-
-
 def _pair_scatter_matrix(basis: FockBasis, v: FourierPotential) -> sp.csr_matrix:
     """Pair-conserving scattering: Σ V̂(δ) S_δ ⊗ (a*_{j+δ} a_j − a*_{l-δ} a_l).
 
@@ -1092,7 +1074,10 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
     if kind == "pair_create":
         return _pair_create_matrix(basis, op.v)
     if kind == "pair_annihilate":
-        return _pair_annihilate_matrix(basis, op.v)
+        # the transpose of creation, without creation's explicit zeros for V̂(k) = 0
+        mat = _pair_create_matrix(basis, op.v).T.tocsr()
+        mat.eliminate_zeros()
+        return mat
     if kind == "pair_scatter":
         return _pair_scatter_matrix(basis, op.v)
     if kind == "excitation_hamiltonian":
@@ -1100,9 +1085,8 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
         w_b = _assemble(OperatorHandle("boson_interaction", basis, w=op.w))
         t = _assemble(OperatorHandle("excitation_kinetic", basis))
         vp = _pair_create_matrix(basis, op.v)
-        vm = _pair_annihilate_matrix(basis, op.v)
         vd = _pair_scatter_matrix(basis, op.v)
-        return (h_b + w_b + t + op.lam * (vp + vm + vd)).tocsr()
+        return (h_b + w_b + t + op.lam * (vp + vp.T + vd)).tocsr()
     raise ValidationError(f"unknown operator kind {kind!r}")
 
 

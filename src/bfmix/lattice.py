@@ -30,6 +30,7 @@ stay in integer arithmetic when ``kf2`` is an integer).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .util import IVec, _ivec, content_hash
+from .util import IVec, _is_number, _ivec, content_hash
 
 EXACT_SUM_CAP = 10_000  # largest lune for the exact-rational path
 
@@ -59,7 +60,9 @@ def _canonical(k: IVec) -> IVec:
 
 
 def _check_kf2(kf2) -> int | float:
-    if isinstance(kf2, bool) or kf2 <= 0:
+    """A positive finite real kf2, as an int when integral; ValidationError
+    for anything else (NaN, an infinity, a bool, a non-number)."""
+    if not _is_number(kf2, numbers.Real) or kf2 <= 0:
         raise ValidationError(f"kf2 must be positive, got {kf2!r}")
     if float(kf2).is_integer():
         return int(kf2)

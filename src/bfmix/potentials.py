@@ -38,9 +38,7 @@ def coupling_scale(n_bosons: int, kf2) -> float:
     """The boson-fermion coupling 1/sqrt(4 pi N k_F) for the mixture scaling."""
     if n_bosons < 1:
         raise ValidationError(f"n_bosons must be >= 1, got {n_bosons}")
-    if not kf2 > 0:
-        raise ValidationError(f"kf2 must be positive, got {kf2}")
-    return 1.0 / math.sqrt(4.0 * math.pi * n_bosons * math.sqrt(kf2))
+    return 1.0 / math.sqrt(4.0 * math.pi * n_bosons * math.sqrt(_check_kf2(kf2)))
 
 
 def default_coupling(n_bosons: int, kf2) -> float:

@@ -652,19 +652,7 @@ def collapse_scan(psi: RadialProfile, w: RadialProfile, v: RadialProfile,
         common = np.linspace(0.0, r_max, n)
         w_c, vv_c = RadialProfile(r_max, w(common)), RadialProfile(r_max, vv(common))
     rr = radial_convolution(rho, rho)
-    # int (rho*rho) w_c and int (rho*rho) vv_c over R^3, exact on the union grid
-    grid = w_c.grid
-    knots = np.unique(np.concatenate([rr.grid[rr.grid <= w_c.r_max], grid[grid <= rr.r_max]]))
-    lo, hi = knots[:-1], knots[1:]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    i_w = i_vv = 0.0
-    for x, wq in zip(_GAUSS3_X, _GAUSS3_W):
-        r = mid + half * x
-        base = half * r**2 * rr(r)
-        i_w += wq * float(np.sum(base * w_c(r)))
-        i_vv += wq * float(np.sum(base * vv_c(r)))
-    i_w *= 4.0 * math.pi
-    i_vv *= 4.0 * math.pi
+    i_w, i_vv = conv_at_zero(rr, w_c), conv_at_zero(rr, vv_c)
     kin = _gradient_norm_squared(psi_n)
     scans = []
     for g in g_values:

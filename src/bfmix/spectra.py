@@ -31,8 +31,6 @@ hand-written oracle is ``tests/boson_oracles.py``.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -84,8 +82,6 @@ __all__ = [
     "SpectrumReport",
     "theorem1_compare",
     "corollary_overlap",
-    "reports_json",
-    "reports_csv",
     "QuadraticDecompositionReport",
     "quadratic_decomposition_check",
 ]
@@ -689,7 +685,8 @@ class SpectrumReport:
     """One cutoff's comparison between the two spectral routes.
 
     Invariant: ``diff[i]`` equals ``mu_h[i] - (mu_eff[i] - w_kf0 / 2)``
-    exactly as assembled from the stored fields.
+    exactly as assembled from the stored fields.  Plain data: its numbers
+    are Python ints and floats, and :mod:`bfmix.cli` writes the compare files.
     """
 
     kf2: int
@@ -722,117 +719,6 @@ class SpectrumReport:
     iterations_h: int | None = None
     method_eff: str | None = None
     iterations_eff: int | None = None
-
-    def to_json_dict(self) -> dict:
-        def f(x):
-            if x is None:
-                return None
-            return float(x)
-
-        return {
-            "kF_squared": int(self.kf2),
-            "kF_cutoff_squared": f(self.lam2),
-            "lambda": f(self.lam),
-            "n_bosons": int(self.n_bosons),
-            "max_pairs": int(self.max_pairs),
-            "momentum_sector": (
-                None
-                if self.momentum_sector is None
-                else [int(x) for x in self.momentum_sector]
-            ),
-            "dims": {k: int(vv) for k, vv in self.dims.items()},
-            "mu_H": [f(x) for x in self.mu_h],
-            "residuals_H": [f(x) for x in self.residuals_h],
-            "mu_eff": [f(x) for x in self.mu_eff],
-            "residuals_eff": [f(x) for x in self.residuals_eff],
-            "W_kF0": f(self.w_kf0),
-            "eff_side": [f(x) for x in self.eff_side],
-            "diff": [f(x) for x in self.diff],
-            "trial_rayleigh": f(self.trial_rayleigh),
-            "overlap": f(self.overlap),
-            "Q": f(self.q_diag),
-            "envelope_value": f(self.envelope_value),
-            "envelope_C": f(self.envelope_c),
-            "proxy_mu1": f(self.proxy_mu1),
-            "const_int": f(self.const_int),
-            "const_v0": f(self.const_v0),
-            "fermi_energy": f(self.fermi_energy),
-            "n_inside": (
-                None if self.n_inside is None else int(self.n_inside)
-            ),
-            "failed": bool(self.failed),
-            "message": self.message,
-            "method_H": self.method_h,
-            "iterations_H": self.iterations_h,
-            "method_eff": self.method_eff,
-            "iterations_eff": self.iterations_eff,
-        }
-
-
-def reports_json(reports: Sequence[SpectrumReport]) -> list[dict]:
-    """JSON-ready dictionaries, one per report."""
-    return [r.to_json_dict() for r in reports]
-
-
-def reports_csv(reports: Sequence[SpectrumReport]) -> str:
-    """CSV table with one row per cutoff and eigenvalue index.
-
-    Floats are written with full round-trip precision.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "kF_squared",
-            "index",
-            "mu_H",
-            "mu_eff",
-            "eff_side",
-            "diff",
-            "W_kF0",
-            "trial_rayleigh",
-            "overlap",
-            "Q",
-            "envelope_value",
-            "envelope_C",
-            "lambda",
-            "dim_full",
-            "dim_boson",
-            "failed",
-        ]
-    )
-
-    def cell(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return repr(x)
-        return x
-
-    for r in reports:
-        count = max(len(r.mu_h), 1)
-        for i in range(count):
-            writer.writerow(
-                [
-                    r.kf2,
-                    i,
-                    cell(r.mu_h[i] if i < len(r.mu_h) else None),
-                    cell(r.mu_eff[i] if i < len(r.mu_eff) else None),
-                    cell(r.eff_side[i] if i < len(r.eff_side) else None),
-                    cell(r.diff[i] if i < len(r.diff) else None),
-                    cell(r.w_kf0 if not r.failed else None),
-                    cell(r.trial_rayleigh if i == 0 else None),
-                    cell(r.overlap if i == 0 else None),
-                    cell(r.q_diag if not r.failed else None),
-                    cell(r.envelope_value),
-                    cell(r.envelope_c),
-                    cell(r.lam if not r.failed else None),
-                    cell(r.dims.get("full") if r.dims else None),
-                    cell(r.dims.get("boson") if r.dims else None),
-                    int(r.failed),
-                ]
-            )
-    return buf.getvalue()
 
 
 def _q_diagnostic(v: FourierPotential, w: FourierPotential) -> float:
@@ -1071,8 +957,8 @@ def theorem1_compare(
                     kf2=kf2,
                     lam2=lam2,
                     lam=float(default_coupling(n_bosons, kf2)),
-                    n_bosons=n_bosons,
-                    max_pairs=max_pairs,
+                    n_bosons=int(n_bosons),
+                    max_pairs=int(max_pairs),
                     momentum_sector=(0, 0, 0),
                     dims={},
                     mu_h=(),

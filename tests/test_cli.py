@@ -678,6 +678,41 @@ def test_spectrum_rerun_byte_identical_files(runner, fourier_files, tmp_path):
             assert fh.read() == blob
 
 
+def test_spectrum_compare_files_are_rendered_like_every_report(runner, tmp_path):
+    v_path, w_path = str(tmp_path / "v.json"), str(tmp_path / "w.json")
+    save_fourier(from_coefficients({(1, 0, 0): 0.25}, cutoff=1), v_path)
+    save_fourier(from_coefficients({(0, 0, 0): 0.6, (1, 0, 0): 0.2}, cutoff=1), w_path)
+    cfg = spectrum_config(tmp_path, v=v_path, w=w_path, kf2_list=[1], cutoff_rule="default")
+    runs = []
+    for _ in range(2):
+        result = runner.invoke(main, ["spectrum", "--config", cfg])
+        assert result.exit_code == 0
+        out_dir = json.loads(result.output)["config"]["output_dir"]
+        runs.append({name: (tmp_path / out_dir / name).read_bytes()
+                     for name in ("compare.json", "compare.csv")})
+    assert runs[0] == runs[1]
+    (row,) = json.loads(runs[0]["compare.json"])["rows"]
+    assert set(row) == {
+        "kF_squared", "kF_cutoff_squared", "lambda", "n_bosons", "max_pairs",
+        "momentum_sector", "dims", "mu_H", "residuals_H", "mu_eff",
+        "residuals_eff", "W_kF0", "eff_side", "diff", "trial_rayleigh",
+        "overlap", "Q", "envelope_value", "envelope_C", "proxy_mu1",
+        "const_int", "const_v0", "fermi_energy", "n_inside", "failed",
+        "message", "method_H", "iterations_H", "method_eff", "iterations_eff",
+    }
+    # 53 states and a 3-state effective basis: both sides solve dense
+    assert row["method_H"] == "dense"
+    assert row["iterations_H"] == row["dims"]["full"] == 53
+    assert row["method_eff"] == "dense"
+    assert row["iterations_eff"] == row["dims"]["boson"]
+    lines = runs[0]["compare.csv"].decode().splitlines()
+    assert lines[0].startswith("# config_hash: ")
+    assert lines[1] == "# tool_version: 0.1.0"
+    assert lines[2] == ("kF_squared,index,mu_H,mu_eff,eff_side,diff,W_kF0,trial_rayleigh,"
+                        "overlap,Q,envelope_value,envelope_C,lambda,dim_full,dim_boson,failed")
+    assert lines[3].startswith("1,0,") and lines[3].endswith(",53,3,0") and len(lines) == 4
+
+
 def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
     # The kf2 144 row (10,103 states) came out with different last bits
     # under one and two OpenBLAS threads; the bfmix entry point pins BLAS

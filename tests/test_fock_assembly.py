@@ -1,7 +1,8 @@
 """Array assembly of the Fock operators, pinned to the per-transition oracle.
 
-``bfmix.fock`` assembles pair creation, annihilation and scattering with one
-array pass per (pair level, column, coupling mode), and expands boson
+``bfmix.fock`` assembles pair creation and scattering with one array pass
+per (pair level, column, coupling mode), takes pair annihilation as the
+transpose of creation, and expands boson
 blocks and diagonals by broadcasting.  The original-picture Hamiltonian,
 its particle-hole conjugate and the off-charge ladders read fermion
 configurations as rows of occupied indices ranked in closed form.
@@ -152,6 +153,10 @@ def test_seven_pairs_on_27_modes_build_and_every_block_maps_back():
     ((-1, 8), (0, 1)),  # negative
     ((7, 8), (-26, 1)),  # negative, the index of an inside mode counted from the end
     ((7, 8 + 2**40), (0, 1)),  # far out of range
+    ((7, 8), (0.9, 1)),  # a fractional hole, truncated to 0 by an int64 cast
+    ((7.5, 8), (0, 1)),  # a fractional particle
+    ((7, 8), (0.0, 1)),  # an integral float
+    ((7, 8), (False, True)),  # bools
 ])
 def test_block_refuses_rows_that_are_not_ascending_in_range_and_on_their_side(parts, holes):
     # 27 modes, inside indices 0-6: a rank of such rows could alias another block
@@ -254,3 +259,5 @@ def test_fock_module_keeps_one_fermion_sign_rule():
     assert defined & {"_sign_create", "_sign_annihilate", "_ph_image"} == set()
     # one rank rule: no positional (base-len(modes)) block key beside _subset_rank
     assert "_exc_keys" not in defined
+    # pair annihilation is the transpose of pair creation, not a second pass
+    assert "_pair_annihilate_matrix" not in defined

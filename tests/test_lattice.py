@@ -13,6 +13,7 @@ import pytest
 from bfmix import lattice as lat
 from bfmix.errors import CapacityError, ValidationError
 from bfmix.fock import ModeSet
+from bfmix.potentials import coupling_scale
 from bfmix.util import content_hash, rng
 from lune_oracles import (
     joint_lune_sums,
@@ -547,6 +548,27 @@ class TestCacheTable:
             with pytest.raises(ValidationError, match="kf2"):
                 lat.lune_count((0, 0, 0), bad)
         assert table.sum(1.0, (0, 0, 0), 4) == 0.0 and lat.lune_count((0, 0, 0), 4) == 0
+
+
+_KF2_ENTRY_POINTS = {
+    "resolvent_sum": lambda kf2: lat.resolvent_sum(1, (1, 0, 0), kf2),
+    "lune_count": lambda kf2: lat.lune_count((1, 0, 0), kf2),
+    "lune_points": lambda kf2: lat.lune_points((1, 0, 0), kf2),
+    "summation_formula": lambda kf2: lat.summation_formula((1, 0, 0), kf2, 1),
+    "table_sum": lambda kf2: lat.LuneSumTable().sum(1.0, (1, 0, 0), kf2),
+    "resolvent_sum_exact": lambda kf2: lat.resolvent_sum_exact(1, (1, 0, 0), kf2),
+    "coupling_scale": lambda kf2: coupling_scale(1, kf2),
+}
+
+
+@pytest.mark.parametrize("kf2", [math.nan, math.inf, -math.inf, np.float64(math.nan), "4", None],
+                         ids=["nan", "inf", "-inf", "np-nan", "str", "none"])
+@pytest.mark.parametrize("entry", list(_KF2_ENTRY_POINTS))
+def test_kf2_that_is_not_a_finite_number_is_a_validation_error(entry, kf2):
+    # nan <= 0 is False: NaN used to reach the lune code (ValueError there)
+    # and an infinity its integer conversion (OverflowError)
+    with pytest.raises(ValidationError, match="kf2 must be positive"):
+        _KF2_ENTRY_POINTS[entry](kf2)
 
 
 class TestAsymptoticsReport:

@@ -34,12 +34,10 @@ from bfmix.spectra import (
     materialize_trial_state,
     quadratic_decomposition_check,
     reachable_boson_modes,
-    reports_csv,
-    reports_json,
     theorem1_compare,
     trial_state_energy,
 )
-from bfmix.util import canonical_json, rng
+from bfmix.util import rng
 from boson_oracles import BosonAlgebra as _BosonAlgebra
 from fock_oracles import joint_truncated, truncated_lune
 from lune_oracles import joint_lune_sums
@@ -748,37 +746,6 @@ def test_compare_validation():
         theorem1_compare(v, w, 1, [1], lambda_rule=lambda kf2: float(kf2))
 
 
-def test_reports_serialization_is_deterministic():
-    v, w = single_mode_v(0.25), sample_w()
-    runs = []
-    for _ in range(2):
-        reports = theorem1_compare(v, w, 2, [1, 2], n=1)
-        runs.append(
-            (canonical_json(reports_json(reports)), reports_csv(reports))
-        )
-    assert runs[0] == runs[1]
-    payload = reports_json(
-        theorem1_compare(v, w, 2, [1], n=1)
-    )[0]
-    assert list(payload) == [
-        "kF_squared", "kF_cutoff_squared", "lambda", "n_bosons", "max_pairs",
-        "momentum_sector", "dims", "mu_H", "residuals_H", "mu_eff",
-        "residuals_eff", "W_kF0", "eff_side", "diff", "trial_rayleigh",
-        "overlap", "Q", "envelope_value", "envelope_C", "proxy_mu1",
-        "const_int", "const_v0", "fermi_energy", "n_inside", "failed",
-        "message", "method_H", "iterations_H", "method_eff", "iterations_eff",
-    ]
-    # 53 states and a 3-state effective basis: both sides solve dense
-    assert payload["method_H"] == "dense"
-    assert payload["iterations_H"] == payload["dims"]["full"] == 53
-    assert payload["method_eff"] == "dense"
-    assert payload["iterations_eff"] == payload["dims"]["boson"]
-    csv_text = reports_csv(theorem1_compare(v, w, 2, [1], n=1))
-    header = csv_text.splitlines()[0].split(",")
-    assert header[0] == "kF_squared"
-    assert "diff" in header
-
-
 def test_corollary_overlap_behaviour():
     v, w = single_mode_v(0.25), sample_w()
     ov = corollary_overlap(v, w, 2, 1)
@@ -852,6 +819,18 @@ def test_spectra_reads_bases_through_the_block_lookup():
     layout = {"_classes", "_block_class", "_block_start", "_exc", "_exc_index",
               "_t_diag", "_pair_count", "_expand_diag"}
     assert named & layout == set()
+
+
+def test_spectra_returns_reports_as_data():
+    # bfmix.cli renders compare.json and compare.csv like every other report;
+    # spectra has no writer of its own.
+    tree = ast.parse(Path(spectra_module.__file__).read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported & {"csv", "io"} == set()
+    assert not hasattr(spectra_module.SpectrumReport, "to_json_dict")
 
 
 def _is_boson_space(node) -> bool:
