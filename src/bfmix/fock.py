@@ -371,10 +371,21 @@ def _combinations(indices: np.ndarray, count: int) -> np.ndarray:
 @functools.cache
 def _rank_terms(n: int, c: int) -> np.ndarray:
     """``[i, a] -> C(n - 1 - a, c - i)`` where a sorted ``c``-subset of
-    ``range(n)`` can hold ``a`` at position ``i`` (``a <= n - c + i``), else 0;
-    no term exceeds ``C(n - 1, c)``."""
-    return np.array([[math.comb(n - 1 - a, c - i) if a <= n - c + i else 0 for a in range(n)]
-                     for i in range(c)], dtype=np.int64).reshape(c, n)
+    ``range(n)`` can hold ``a`` at position ``i`` (``a <= n - c + i``), else 0.
+
+    Row ``j`` of Pascal's triangle, ``C(m, j)`` for ``m < n``, is the running
+    sum of row ``j - 1`` shifted by one, and the terms at position ``i`` are
+    row ``c - i`` reversed (``C(m, j) = 0`` for ``m < j`` gives the zeros).
+    Every running sum stays at or below ``max_j C(n - 1, j)`` over ``j <= c``;
+    OverflowError where that exceeds int64.
+    """
+    if n and math.comb(n - 1, min(c, (n - 1) // 2)) > np.iinfo(np.int64).max:
+        raise OverflowError(f"C({n - 1}, j) for j <= {c} exceeds int64")
+    row, rows = np.ones(n, dtype=np.int64), []
+    for _ in range(c):
+        row = np.concatenate([[0], np.cumsum(row[:-1])])[:n]
+        rows.append(row[::-1])
+    return np.array(rows[::-1], dtype=np.int64).reshape(c, n)
 
 
 def _subset_rank(rows: np.ndarray, n: int) -> np.ndarray:

@@ -17,8 +17,11 @@ and the central objects are the resolvent-weighted lune sums
 and a fast line-sum approximation of
 ``D_alpha`` with an explicit error scale.
 
-A lune is enumerated as runs along z (``_lune_columns``), and its sums are
-taken over a histogram of its distinct denominators (``_lune_histogram``):
+A lune is enumerated as runs along z (``_lune_columns``), one column per
+orbit of the (x, y) reflections that fix k, each run weighted by its orbit
+size: kx = 0 or kx = ky halves the columns, and kx = ky = 0 leaves an
+eighth. Its sums are taken over a histogram of its distinct denominators
+(``_lune_histogram``), the same histogram as over every column:
 d^(-alpha) is computed once per distinct d, and the multiplicity-weighted
 terms are added exactly, so every float sum is the correctly rounded sum of
 its terms over the points, and every exact sum is a sum of Fractions n/d^alpha.
@@ -115,11 +118,32 @@ def _isqrt_array(n: np.ndarray) -> np.ndarray:
     return r - (r * r > n)
 
 
-def _column_runs(k: IVec, kf2, lam2, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The nonempty runs ``x, y, z0, n`` of the lune along the given columns
-    of the disc (x - kx)^2 + (y - ky)^2 <= kf2, as a (4, m) int64 array (see
-    _lune_columns). A function of its own, so that its temporaries are freed
-    before _lune_columns yields."""
+# The eight (x, y) symmetries of the lattice are generated by the reflections
+# in the mirrors x = 0, y = 0 and y = x, each given by a normal (a, b) whose
+# side a x + b y >= 0 is kept. A reflection whose mirror holds (kx, ky)
+# fixes k, and with it x^2 + y^2, (x - kx)^2 + (y - ky)^2 and x kx + y ky:
+# it maps each lune column onto one with the same runs and the same
+# denominators. (A k on the mirror y = -x alone is never canonical; it is
+# enumerated without a fold.)
+_MIRRORS = ((1, 0), (0, 1), (-1, 1))
+
+
+def _mirrors(k: IVec) -> list[tuple[int, int]]:
+    """The mirrors through (kx, ky): none, one, or all three (kx = ky = 0)."""
+    return [(a, b) for a, b in _MIRRORS if a * k[0] + b * k[1] == 0]
+
+
+def _reflect(pts: np.ndarray, a: int, b: int) -> np.ndarray:
+    """(n, 3) points reflected in the mirror a x + b y = 0."""
+    s = 2 * (a * pts[:, 0] + b * pts[:, 1]) // (a * a + b * b)
+    return np.stack([pts[:, 0] - s * a, pts[:, 1] - s * b, pts[:, 2]], axis=1)
+
+
+def _column_runs(k: IVec, kf2, lam2, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The nonempty runs ``x, y, z0, n, w`` of the lune along the given columns
+    of the disc (x - kx)^2 + (y - ky)^2 <= kf2, each with its column's orbit
+    size ``w``, as a (5, m) int64 array (see _lune_columns). A function of
+    its own, so that its temporaries are freed before _lune_columns yields."""
     kx, ky, kz = k
     rs = _isqrt_array(kf2 - ((x - kx) ** 2 + (y - ky) ** 2))
     lo, hi = kz - rs, kz + rs
@@ -132,48 +156,66 @@ def _column_runs(k: IVec, kf2, lam2, x: np.ndarray, y: np.ndarray) -> np.ndarray
         lo, hi = np.maximum(lo, -c), np.minimum(hi, c)
     up0 = np.maximum(lo, s)
     down1 = np.minimum(hi, -np.maximum(s, 1))
-    x, y = np.concatenate([x, x]), np.concatenate([y, y])
+    x, y, w = np.concatenate([x, x]), np.concatenate([y, y]), np.concatenate([w, w])
     z0 = np.concatenate([up0, lo])
     n = np.concatenate([hi - up0 + 1, down1 - lo + 1])
-    return np.stack([x, y, z0, n])[:, n > 0]
+    return np.stack([x, y, z0, n, w])[:, n > 0]
 
 
 def _lune_columns(k: IVec, kf2, lam2=None) -> Iterable[np.ndarray]:
-    """Yield (4, m) int64 arrays ``x, y, z0, n``: the lune as runs along z.
+    """Yield (5, m) int64 arrays ``x, y, z0, n, w``: the lune as runs along z.
 
-    Each run is the points (x, y, z0 .. z0 + n - 1). The columns (x, y) are
-    the disc (x - kx)^2 + (y - ky)^2 <= kf2, row by row: row x holds
-    |y - ky| <= isqrt(kf2 - (x - kx)^2), one isqrt per row, and whole rows
+    Each run is the points (x, y, z0 .. z0 + n - 1) and stands for its ``w``
+    images under the reflections in _mirrors(k), which hold as many points
+    with the same denominators: w is 1 without a mirror; 1 on the mirror and
+    2 off it with one; 1 at (0, 0), 4 on a mirror and 8 elsewhere with three.
+    The columns (x, y) are the disc (x - kx)^2 + (y - ky)^2 <= kf2 on the
+    kept side of each mirror, row by row: row x holds
+    |y - ky| <= isqrt(kf2 - (x - kx)^2), one isqrt per row, cut to
+    y >= -a x by each mirror (a, 1) and to x >= 0 by (1, 0), and whole rows
     are expanded with np.repeat in blocks of about _BLOCK_COLUMNS columns
-    (the ~pi kf2 columns of a lune with kf2 up to ~1300 are one block). For
+    (kf2 up to ~1300 is one block, ~10^4 with three mirrors). For
     a column the shifted ball gives |z - kz| <= rs; |p|^2 > kf2 keeps
     |z| >= s = isqrt(kf2 - x^2 - y^2) + 1 (s = 0 where x^2 + y^2 > kf2),
     which leaves at most two intervals, and lam2 caps
     |z| <= isqrt(lam2 - x^2 - y^2). Runs are yielded in nonempty pieces of
-    about _POINTS points, so the cost is O(kF^2) columns, and temporaries
-    stay small; a consumer that counts runs (lune_count, _runs_histogram)
-    never pays per point. The order of the runs is not part of the contract
-    (lune_points sorts). Valid for any k; the sums pass the canonical k so
-    the runs lie along its largest component, where d steps by 2 kz.
+    about _POINTS listed points, so the cost is O(kF^2) columns, and
+    temporaries stay small; a consumer that counts runs (lune_count,
+    _runs_histogram) never pays per point. The order of the runs is not
+    part of the contract (lune_points sorts). Valid for any k; the sums pass
+    the canonical k so the runs lie along its largest component, where d
+    steps by 2 kz, and kx = 0 or kx = ky leaves a half or an eighth of the
+    columns.
     """
     kx, ky, kz = k
     r = _isqrt_floor(kf2)
     if lam2 is not None and lam2 >= (r + 2 + math.isqrt(kx * kx + ky * ky + kz * kz)) ** 2:
         lam2 = None  # above every |p|^2 in the shifted ball: no cap
-    rows = np.arange(kx - r, kx + r + 1, dtype=np.int64)
+    mirrors = _mirrors(k)
+    order = 2 ** len(mirrors)  # the group's size: 1, 2 or 8
+    rows = np.arange(0 if (1, 0) in mirrors else kx - r, kx + r + 1, dtype=np.int64)
     # int64 for integer kf2 (exact), float64 otherwise, as numpy promotes; a
     # non-integer kf2 - (x - kx)^2 is exact too (a multiple of kf2's last bit)
     half = _isqrt_array(kf2 - (rows - kx) ** 2)
-    width = 2 * half + 1
+    lo = ky - half
+    for a, b in mirrors:
+        if b:
+            lo = np.maximum(lo, -a * rows)
+    width = np.maximum(ky + half - lo + 1, 0)
     starts = np.cumsum(width) - width
     i0 = 0
     while i0 < len(rows):
         i1 = int(np.searchsorted(starts, starts[i0] + _BLOCK_COLUMNS))
-        w = width[i0:i1]
-        x = np.repeat(rows[i0:i1], w)
-        y = np.arange(int(w.sum())) - np.repeat(starts[i0:i1] - starts[i0] + half[i0:i1] - ky, w)
+        wd = width[i0:i1]
+        x = np.repeat(rows[i0:i1], wd)
+        y = np.arange(int(wd.sum())) - np.repeat(starts[i0:i1] - starts[i0] - lo[i0:i1], wd)
         i0 = i1
-        runs = _column_runs(k, kf2, lam2, x, y)
+        on = np.zeros(x.shape, dtype=bool)
+        for a, b in mirrors:
+            on |= a * x + b * y == 0
+        w = np.where(on, order // 2, order)
+        w[(x == 0) & (y == 0)] = 1  # fixed by every symmetry
+        runs = _column_runs(k, kf2, lam2, x, y, w)
         if runs.shape[1] == 0:
             continue
         cum = np.cumsum(runs[3])
@@ -191,35 +233,39 @@ def _run_values(start: np.ndarray, step: int, n: np.ndarray) -> np.ndarray:
 def _run_starts(runs: np.ndarray, k: IVec) -> np.ndarray:
     """The denominator d(p, k) = 2 p.k - |k|^2 of each run's first point."""
     kx, ky, kz = k
-    x, y, z0, _ = runs
+    x, y, z0 = runs[:3]
     return 2 * (x * kx + y * ky + z0 * kz) - (kx * kx + ky * ky + kz * kz)
 
 
 def _runs_histogram(runs: np.ndarray, k: IVec) -> tuple[np.ndarray, np.ndarray]:
-    """(d, n): the distinct denominators of one piece of runs and their counts.
+    """(d, n): the distinct denominators of one piece of runs and their counts,
+    each run counted ``w`` times (once per column of its orbit).
 
     Along a run d steps by 2 kz (kz >= 1 for a canonical k). Where the span
     of d is at most the piece's point count, a difference array over that
     span (padded to a multiple of 2 kz, so less than twice the point count)
-    takes +1 at each run's first d and -1 one step past its last, and a
+    takes +w at each run's first d and -w one step past its last, and a
     cumulative sum with stride 2 kz (down the columns of a (rows, 2 kz)
     view) turns it into counts without listing a point. A span narrower
     than 2 kz holds only one-point runs and needs no padding. A wider span
     (|k| large against the lune) would make the array larger than the
     lune, so there the piece's denominators are listed and counted with
-    np.unique.
+    np.unique. The weighted counts are float64 sums of integers below 2^53,
+    so they are exact.
     """
-    n, step = runs[3], 2 * k[2]
+    n, w, step = runs[3], runs[4], 2 * k[2]
     start = _run_starts(runs, k)
     lo = int(start.min())
     span = int((start + step * (n - 1)).max()) - lo + 1
-    if span > int(n.sum()):
-        return np.unique(_run_values(start, step, n), return_counts=True)
+    if span > int((n * w).sum()):
+        d, inverse = np.unique(_run_values(start, step, n), return_inverse=True)
+        return d, np.bincount(inverse, np.repeat(w, n)).astype(np.int64)
     width = min(step, span)
     size = -(-span // width) * width
     first, past = start - lo, start - lo + step * n
-    diff = np.bincount(first, minlength=size) - np.bincount(past[past < size], minlength=size)
-    counts = diff.reshape(-1, width).cumsum(axis=0).ravel()
+    inside = past < size
+    diff = np.bincount(first, w, size) - np.bincount(past[inside], w[inside], size)
+    counts = diff.reshape(-1, width).cumsum(axis=0).ravel().astype(np.int64)
     nz = np.flatnonzero(counts)
     return nz + lo, counts[nz]
 
@@ -256,22 +302,25 @@ def lune_points(k: Sequence[int], kf2, lam2=None) -> np.ndarray:
         return np.empty((0, 3), dtype=np.int64)
     pieces = [
         np.stack([np.repeat(x, n), np.repeat(y, n), _run_values(z0, 1, n)], axis=1)
-        for x, y, z0, n in _lune_columns(k, kf2, lam2)
+        for x, y, z0, n, _ in _lune_columns(k, kf2, lam2)
     ]
     if not pieces:
         return np.empty((0, 3), dtype=np.int64)
     pts = np.concatenate(pieces, axis=0)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    return pts[order]
+    # reflecting in each mirror in turn reaches every image of the listed
+    # columns; np.unique drops the repeats of the points on a mirror
+    for a, b in _mirrors(k):
+        pts = np.concatenate([pts, _reflect(pts, a, b)])
+    return np.unique(pts, axis=0)
 
 
 def lune_count(k: Sequence[int], kf2, lam2=None) -> int:
-    """|L(k)| from the run lengths, without listing the points."""
+    """|L(k)| from the run lengths and orbit sizes, without listing the points."""
     ck = canonical_vector(k)
     kf2 = _check_kf2(kf2)
     if ck == (0, 0, 0):
         return 0
-    return sum(int(runs[3].sum()) for runs in _lune_columns(ck, kf2, lam2))
+    return sum(int((runs[3] * runs[4]).sum()) for runs in _lune_columns(ck, kf2, lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +362,6 @@ def _histogram_sum(alpha: float, d: np.ndarray, n: np.ndarray) -> float:
     return math.fsum(_exact_pieces(t, n))
 
 
-def _resolvent_sum_raw(alpha: float, k: IVec, kf2, lam2=None) -> tuple[float, int]:
-    """(value, lune size): the correctly rounded sum of the terms d^(-alpha).
-
-    The lune is counted as a histogram of its distinct denominators, each
-    d^(-alpha) is computed once, and _histogram_sum adds the exact pieces of
-    n * d^(-alpha), so the value is the one math.fsum gives over every term,
-    whatever the order or grouping of the points.
-    """
-    d, n = _lune_histogram(canonical_vector(k), kf2, lam2)
-    return _histogram_sum(alpha, d, n), int(n.sum())
-
-
 def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fraction:
     """Exact rational D_alpha(k) for integer alpha (oracle path).
 
@@ -345,7 +382,7 @@ def resolvent_sum_exact(alpha: int, k: Sequence[int], kf2, lam2=None) -> Fractio
     def capped():
         total = 0
         for runs in _lune_columns(ck, kf2, lam2):
-            total += int(runs[3].sum())
+            total += int((runs[3] * runs[4]).sum())
             if total > EXACT_SUM_CAP:
                 raise CapacityError(
                     f"exact rational sum capped at |L| <= {EXACT_SUM_CAP}; lune has more points"

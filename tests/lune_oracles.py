@@ -3,9 +3,11 @@
 ``lune_slabs`` is the shifted-ball scan: every z-slab of k + B is built as a
 full (x, y) rectangle and masked, O(kF^3) per k. It shares no code with the
 column-interval enumerator in ``bfmix.lattice``, so the two pin each other.
-``point_resolvent_sum`` lists every point of those columns and runs one
-math.fsum over every term: the reference for the package's denominator
-histogram where the slab scan is too slow (kf2 ~ 4e4).
+``point_resolvent_sum`` lists every point of the lune (``lune_points``, each
+column orbit expanded into its images) and runs one math.fsum over every
+term: the reference for the package's denominator histogram where the slab
+scan is too slow (kf2 ~ 4e4). ``resolvent_sum_raw`` is that histogram sum
+with the lune's size, as ``LuneSumTable`` computes it on a miss.
 ``joint_lune_sums`` is the reference for the trial-state joint sums that
 ``bfmix.spectra`` computes on its truncated mode set. ``weighted_sum`` is the
 potential-weighted aggregate of the package's own lune sums.
@@ -16,18 +18,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
-
 import numpy as np
 
 from bfmix.lattice import (
     _ball_points,
     _check_kf2,
+    _histogram_sum,
     _isqrt_floor,
-    _lune_columns,
-    _run_starts,
-    _run_values,
+    _lune_histogram,
     canonical_vector,
+    lune_points,
     resolvent_sum,
 )
 from bfmix.util import _ivec
@@ -90,22 +90,25 @@ def slab_resolvent_sum(alpha: float, k, kf2, lam2=None) -> tuple[float, int]:
 def point_resolvent_sum(alpha: float, k, kf2, lam2=None) -> tuple[float, int]:
     """(value, count): math.fsum over every float term d^(-alpha), point by point.
 
-    The column runs of ``bfmix.lattice`` are expanded into their denominators
-    and each term is listed; the package's histogram sums must equal this
-    bit for bit.
+    Every point of ``lune_points`` (all images of each column orbit) is
+    listed with its denominator; the package's histogram sums must equal
+    this bit for bit.
     """
-    ck = canonical_vector(k)
-    count = 0
+    pts = lune_points(k, kf2, lam2)
+    terms = denominators(pts, _ivec(k)).astype(np.float64) ** (-alpha)
+    return math.fsum(terms.tolist()), int(pts.shape[0])
 
-    def terms():
-        nonlocal count
-        for runs in _lune_columns(ck, kf2, lam2):
-            d = _run_values(_run_starts(runs, ck), 2 * ck[2], runs[3]).astype(np.float64)
-            count += d.shape[0]
-            yield (d ** (-alpha)).tolist()
 
-    value = math.fsum(chain.from_iterable(terms()))
-    return value, count
+def resolvent_sum_raw(alpha: float, k, kf2, lam2=None) -> tuple[float, int]:
+    """(value, lune size): the correctly rounded sum of the terms d^(-alpha).
+
+    The lune is counted as a histogram of its distinct denominators, each
+    d^(-alpha) is computed once, and _histogram_sum adds the exact pieces of
+    n * d^(-alpha), so the value is the one math.fsum gives over every term,
+    whatever the order or grouping of the points.
+    """
+    d, n = _lune_histogram(canonical_vector(k), _check_kf2(kf2), lam2)
+    return _histogram_sum(alpha, d, n), int(n.sum())
 
 
 def slab_resolvent_sum_exact(alpha: int, k, kf2, lam2=None) -> Fraction:

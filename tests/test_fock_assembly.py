@@ -29,6 +29,7 @@ from bfmix.fock import (
     _combinations,
     _OffChargeSpace,
     _ph_sign,
+    _rank_terms,
     _subset_rank,
 )
 from bfmix.potentials import FourierPotential
@@ -242,6 +243,34 @@ def test_particle_hole_sign_matches_oracle_on_every_subset():
 def test_subset_rank_counts_combinations_in_order(n, c):
     rows = _combinations(np.arange(n), c)
     assert np.array_equal(_subset_rank(rows, n), np.arange(len(rows)))
+
+
+def _comb_terms(n, c):
+    """The rank-term table with one math.comb per entry."""
+    return np.array([[math.comb(n - 1 - a, c - i) if a <= n - c + i else 0 for a in range(n)]
+                     for i in range(c)], dtype=np.int64).reshape(c, n)
+
+
+@pytest.mark.parametrize("n,c", [(0, 0), (1, 0), (1, 1), (6, 3), (12, 5), (27, 7), (33, 32),
+                                 (62, 60), (40, 2), (3, 5)])
+def test_rank_terms_from_pascals_rule_equal_math_comb(n, c):
+    got, want = _rank_terms(n, c), _comb_terms(n, c)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_rank_terms_refuse_what_does_not_fit_int64():
+    # the running sums would wrap without an error where the table's largest
+    # term C(n - 1, j), j <= c, is past int64: refused where the math.comb
+    # table is (C(67, 33) > 2^63 > C(66, 33))
+    for n in range(64, 72):
+        for c in range(0, n + 1, 2):
+            try:
+                _comb_terms(n, c)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _rank_terms.__wrapped__(n, c)
+            else:
+                assert np.array_equal(_rank_terms.__wrapped__(n, c), _comb_terms(n, c))
 
 
 def test_fock_module_keeps_one_fermion_sign_rule():

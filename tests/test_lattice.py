@@ -16,8 +16,10 @@ from bfmix.fock import ModeSet
 from bfmix.potentials import coupling_scale
 from bfmix.util import content_hash, rng
 from lune_oracles import (
+    denominators,
     joint_lune_sums,
     point_resolvent_sum,
+    resolvent_sum_raw,
     slab_points,
     slab_resolvent_sum,
     slab_resolvent_sum_exact,
@@ -151,7 +153,7 @@ class TestColumnOracle:
     def test_sums_bitwise(self, k, kf2, lam2):
         kf2 = lat._check_kf2(kf2)
         for alpha in (1.0, 2.0, 1.5, 3.0):
-            assert lat._resolvent_sum_raw(alpha, k, kf2, lam2) == slab_resolvent_sum(
+            assert resolvent_sum_raw(alpha, k, kf2, lam2) == slab_resolvent_sum(
                 alpha, k, kf2, lam2
             )
 
@@ -164,7 +166,7 @@ class TestColumnOracle:
 
     def test_larger_shells_bitwise(self):
         for k, kf2 in [((2, 1, 1), 400), ((1, 0, 0), 1000), ((0, 3, -1), 250.5)]:
-            assert lat._resolvent_sum_raw(1.0, k, lat._check_kf2(kf2)) == slab_resolvent_sum(
+            assert resolvent_sum_raw(1.0, k, lat._check_kf2(kf2)) == slab_resolvent_sum(
                 1.0, k, kf2
             )
 
@@ -177,12 +179,68 @@ class TestColumnOracle:
         monkeypatch.setattr(lat, "_BLOCK_COLUMNS", 14)
         monkeypatch.setattr(lat, "_POINTS", 5)
         for case, (ref_sum, ref_pts) in zip(cases, refs):
-            assert lat._resolvent_sum_raw(2.0, *case) == ref_sum
+            assert resolvent_sum_raw(2.0, *case) == ref_sum
             assert np.array_equal(lat.lune_points(*case), ref_pts)
 
     def test_huge_lam2_is_no_cap(self):
         k, kf2 = (1, 2, 0), 9
-        assert lat._resolvent_sum_raw(1.0, k, kf2, 1e300) == lat._resolvent_sum_raw(1.0, k, kf2)
+        assert resolvent_sum_raw(1.0, k, kf2, 1e300) == resolvent_sum_raw(1.0, k, kf2)
+
+
+# One case list per class of the (x, y) symmetries that fix k (see
+# lattice._mirrors), with the orbit sizes its columns may carry: signed and
+# non-canonical k, non-integer kf2 and lam2 caps (integer and not).
+SYMMETRY_CASES = {
+    "kx=ky=0": ([((0, 0, 1), 10.7, None), ((0, 0, -2), 30, 40), ((0, 0, 3), 50.25, None),
+                 ((0, 0, 1), 1, None)], {1, 4, 8}),
+    "kx=0!=ky": ([((0, 1, 1), 20.5, None), ((0, -2, 1), 30, 45.5), ((0, 3, -2), 17, None)],
+                 {1, 2}),
+    "kx=ky!=0": ([((1, 1, 1), 25, None), ((-1, -1, 2), 33.3, 50), ((2, 2, -1), 12, None)],
+                 {1, 2}),
+    "ky=0!=kx": ([((2, 0, 1), 19, None), ((-1, 0, 3), 8.5, 20)], {1, 2}),
+    # kx = -ky is fixed by the reflection in y = -x, which is not folded
+    "none": ([((1, 2, 3), 30, None), ((-1, 2, -3), 20.25, 35), ((3, -1, 2), 14, 17),
+              ((1, -1, 2), 27.5, None), ((-2, 2, 1), 40, 60.25)], {1}),
+}
+
+
+@pytest.mark.parametrize("k, kf2, lam2, sizes", [
+    pytest.param(*case, sizes, id=f"{name}-{case[0]}-{case[1]}-{case[2]}")
+    for name, (cases, sizes) in SYMMETRY_CASES.items() for case in cases
+])
+def test_column_orbits_give_the_lune(k, kf2, lam2, sizes):
+    # one column per orbit: the weighted histogram, the points expanded from
+    # the orbits and the weighted count all equal the slab scan's
+    kf2 = lat._check_kf2(kf2)
+    runs = list(lat._lune_columns(k, kf2, lam2))
+    assert set(np.concatenate([r[4] for r in runs]).tolist()) <= sizes
+    ref = slab_points(k, kf2, lam2)
+    # the histogram steps along z, so take k itself where kz >= 1
+    hk = k if k[2] >= 1 else lat.canonical_vector(k)
+    d, n = lat._lune_histogram(hk, kf2, lam2)
+    want = Counter(denominators(slab_points(hk, kf2, lam2), hk).tolist())
+    assert dict(zip(d.tolist(), n.tolist())) == want and d.tolist() == sorted(want)
+    assert np.array_equal(lat.lune_points(k, kf2, lam2), ref)
+    assert lat.lune_count(k, kf2, lam2) == ref.shape[0] == sum(want.values())
+
+
+@pytest.mark.parametrize("k, share", [((0, 0, 1), 0.15), ((0, 1, 1), 0.55)])
+def test_columns_are_folded_by_the_symmetries_of_k(k, share, monkeypatch):
+    # the lune's columns span the disc (x - kx)^2 + (y - ky)^2 <= kf2; an
+    # eighth of them (kx = ky = 0) or a half (kx = 0) reach _column_runs
+    kf2 = 10003
+    r = math.isqrt(kf2)
+    disc = sum(2 * math.isqrt(kf2 - dx * dx) + 1 for dx in range(-r, r + 1))
+    seen = []
+    column_runs = lat._column_runs
+
+    def counted(k, kf2, lam2, x, *rest):
+        seen.append(len(x))
+        return column_runs(k, kf2, lam2, x, *rest)
+
+    monkeypatch.setattr(lat, "_column_runs", counted)
+    assert lat.lune_count(k, kf2) > 0
+    assert 0 < sum(seen) <= share * disc
 
 
 # The lunes of the benchmark sweep: five modes at kf2 1e2 .. 4e4.
@@ -216,7 +274,7 @@ class TestDenominatorHistogram:
     def test_difference_array_branch_bitwise(self, k, kf2, lam2, monkeypatch):
         calls = self._count_expansions(monkeypatch)
         for alpha in (1.0, 2.0, 0.5):
-            got = lat._resolvent_sum_raw(alpha, k, lat._check_kf2(kf2), lam2)
+            got = resolvent_sum_raw(alpha, k, lat._check_kf2(kf2), lam2)
             assert got == slab_resolvent_sum(alpha, k, kf2, lam2)
         assert not calls
 
@@ -224,7 +282,7 @@ class TestDenominatorHistogram:
     def test_unique_branch_bitwise(self, k, kf2, lam2, monkeypatch):
         calls = self._count_expansions(monkeypatch)
         for alpha in (1.0, 2.0, 0.5):
-            got = lat._resolvent_sum_raw(alpha, k, lat._check_kf2(kf2), lam2)
+            got = resolvent_sum_raw(alpha, k, lat._check_kf2(kf2), lam2)
             assert got == slab_resolvent_sum(alpha, k, kf2, lam2)
         assert calls
 
@@ -242,7 +300,7 @@ class TestDenominatorHistogram:
     def test_sweep_lunes_match_point_sums(self, kf2):
         for k in SWEEP_MODES:
             for alpha in (1.0, 2.0):
-                assert lat._resolvent_sum_raw(alpha, k, kf2) == point_resolvent_sum(alpha, k, kf2)
+                assert resolvent_sum_raw(alpha, k, kf2) == point_resolvent_sum(alpha, k, kf2)
 
     def test_no_point_is_expanded_on_the_sweep(self, monkeypatch):
         def refuse(*args):
@@ -251,7 +309,7 @@ class TestDenominatorHistogram:
         monkeypatch.setattr(lat, "_run_values", refuse)
         for kf2 in SWEEP_KF2:
             for k in SWEEP_MODES:
-                lat._resolvent_sum_raw(1.0, k, kf2)
+                resolvent_sum_raw(1.0, k, kf2)
 
     @pytest.mark.parametrize("k, kf2, size", [((10**6, 3, 7), 2, 19), ((1, 1, 10**6), 0.5, 1)])
     def test_huge_k_memory_is_bounded_by_the_lune(self, k, kf2, size):
@@ -259,7 +317,7 @@ class TestDenominatorHistogram:
         # the single point: a dense array over either would take tens of MB
         tracemalloc.start()
         try:
-            got = lat._resolvent_sum_raw(1.0, k, kf2)
+            got = resolvent_sum_raw(1.0, k, kf2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,8 +359,8 @@ class TestDenominatorHistogram:
         # cache files are tagged with LuneSumTable._ALGORITHM; a change that
         # moves one of these bits must bump the tag as well
         assert lat.LuneSumTable._ALGORITHM == "columns-fsum"
-        assert lat._resolvent_sum_raw(1.0, (2, 1, 1), 40002) == (632.4652768617482, 307845)
-        assert lat._resolvent_sum_raw(2.0, (1, 1, 1), 10003) == (10.465199045172497, 54445)
+        assert resolvent_sum_raw(1.0, (2, 1, 1), 40002) == (632.4652768617482, 307845)
+        assert resolvent_sum_raw(2.0, (1, 1, 1), 10003) == (10.465199045172497, 54445)
 
 
 class TestResolventSum:
@@ -329,9 +387,9 @@ class TestResolventSum:
         # itself runs on non-canonical k in TestColumnOracle.test_points_and_count)
         base = (1, 2, 0)
         kf2 = 9
-        ref, _ = lat._resolvent_sum_raw(1.0, base, kf2)
+        ref, _ = resolvent_sum_raw(1.0, base, kf2)
         for k in [(2, 1, 0), (0, -1, -2), (-2, 0, 1), (1, 0, -2)]:
-            val, _ = lat._resolvent_sum_raw(1.0, k, kf2)
+            val, _ = resolvent_sum_raw(1.0, k, kf2)
             assert val == pytest.approx(ref, rel=1e-13)
 
     def test_exact_capacity_cap(self):
@@ -440,7 +498,7 @@ class TestCacheTable:
         old = cache / f"lune_{content_hash([1.0, [0, 1, 2], 7])}.csv"
         old.write_text("alpha,kx,ky,kz,kF_squared,value,count\n1.0,0,1,2,7,999.0,1\n")
         v1 = lat.LuneSumTable(cache_dir=str(cache)).sum(1.0, (1, 2, 0), 7)
-        assert v1 == lat._resolvent_sum_raw(1.0, (0, 1, 2), 7)[0]
+        assert v1 == resolvent_sum_raw(1.0, (0, 1, 2), 7)[0]
         assert len(list(cache.glob("lune_*.csv"))) == 2
         reloaded = lat.LuneSumTable(cache_dir=str(cache))
         assert reloaded.sum(1.0, (2, 0, 1), 7) == v1  # bit exact from the new file
@@ -479,7 +537,7 @@ class TestCacheTable:
         with open(self._file(cache)) as fh:
             assert len(fh.read().splitlines()) == 1 + len(self.SUMS)  # header plus one row each
         for alpha, k, kf2 in self.SUMS:
-            assert want[(alpha, k, kf2)] == lat._resolvent_sum_raw(alpha, k, lat._check_kf2(kf2))[0]
+            assert want[(alpha, k, kf2)] == resolvent_sum_raw(alpha, k, lat._check_kf2(kf2))[0]
         self._no_enumeration(monkeypatch)
         reloaded = lat.LuneSumTable(cache_dir=str(cache))
         assert {s: reloaded.sum(*s) for s in self.SUMS} == want
@@ -501,9 +559,41 @@ class TestCacheTable:
         with open(self._file(cache), "a") as fh:
             fh.write("0.5,1,1,3,40.25,1.2")  # an append cut short
         reloaded = lat.LuneSumTable(cache_dir=str(cache))
-        assert reloaded.sum(*torn) == lat._resolvent_sum_raw(*torn)[0]  # computed again
+        assert reloaded.sum(*torn) == resolvent_sum_raw(*torn)[0]  # computed again
         self._no_enumeration(monkeypatch)
         assert reloaded.sum(*kept) == v_kept
+
+    # Rows as the column enumeration without orbit folding wrote them, under
+    # the same algorithm tag: the folded histogram keeps every bit.
+    EARLIER_ROWS = """alpha,kx,ky,kz,kF_squared,value,count
+1.0,0,0,1,10003,317.9031186452503,31433
+2.0,0,0,1,10003,9.86690206786256,31433
+2.0,0,1,1,2575,4.097743936175193,11435
+1.0,1,1,1,40.25,18.13462840833954,211
+0.5,0,0,2,1000,744.9294691154895,6282
+1.5,1,2,2,333,9.098130124944253,3137
+3.0,0,1,2,99.5,0.31726510342979924,691
+"""
+
+    def test_rows_of_the_unfolded_enumeration_are_hits(self, tmp_path, monkeypatch):
+        cache = tmp_path / "lunes"
+        cache.mkdir()
+        with open(self._file(cache), "w") as fh:
+            fh.write(self.EARLIER_ROWS)
+        rows = [line.split(",") for line in self.EARLIER_ROWS.splitlines()[1:]]
+        fresh = {}
+        for alpha, kx, ky, kz, kf2, value, count in rows:
+            got = resolvent_sum_raw(float(alpha), (int(kx), int(ky), int(kz)), float(kf2))
+            assert got == (float(value), int(count))
+            fresh[(float(alpha), (int(kx), int(ky), int(kz)), float(kf2))] = got
+        self._no_enumeration(monkeypatch)
+        table = lat.LuneSumTable(cache_dir=str(cache))
+        for (alpha, k, kf2), (value, count) in fresh.items():
+            assert table.sum(alpha, k[::-1], kf2) == value  # a hit, bit for bit
+            if alpha == 1.0:  # count reads the D_1 row
+                assert table.count(k, kf2) == count
+        with open(self._file(cache)) as fh:
+            assert fh.read() == self.EARLIER_ROWS  # nothing appended
 
     @pytest.mark.parametrize("line", [b"1.0,1,0,0,10", b"1.0,1,0,0,10,x,3",
                                       b"1.0,1,0,0,-10,2.5,3", b"\xff\xfe"],
@@ -527,7 +617,7 @@ class TestCacheTable:
         # the one file of another summation algorithm
         (cache / f"lune_{content_hash(['slab-fsum'])}.csv").write_text(header + row)
         value = lat.LuneSumTable(cache_dir=str(cache)).sum(1.0, (1, 2, 0), 7)
-        assert value == lat._resolvent_sum_raw(1.0, (0, 1, 2), 7)[0]
+        assert value == resolvent_sum_raw(1.0, (0, 1, 2), 7)[0]
         assert len(list(cache.glob("lune_*.csv"))) == 3
 
     def test_nan_alpha_is_rejected_before_the_file(self, tmp_path):
