@@ -697,19 +697,6 @@ class PhysicalBasis:
         return len(self._boson.occ)
 
 
-def build_physical_basis(
-    mode_set: ModeSet,
-    boson_modes,
-    n_bosons: int,
-    fermion_count: int | None = None,
-    max_dimension: int = 5000,
-) -> PhysicalBasis:
-    """Enumerate the original-picture boson ⊗ fermion-sector basis."""
-    return PhysicalBasis(
-        mode_set, boson_modes, n_bosons, fermion_count, max_dimension
-    )
-
-
 _KINDS = (
     "boson_kinetic",
     "boson_interaction",

@@ -407,7 +407,9 @@ class LuneSumTable:
     header row is written with the first row of an empty file and skipped
     wherever it appears. A table reads the file once, at its first disk
     lookup. A final line without a newline (a torn append) is skipped; any
-    other malformed line raises ValidationError. Truncated sums (finite
+    other malformed line raises ValidationError. The memo keeps values
+    only: the ``count`` column (the lune's point count, see ``lune_count``)
+    is written and checked on load, not kept. Truncated sums (finite
     lam2) are memoized in memory only. The denominator histogram of the most
     recently computed lune is kept, so D_1 then D_2 of one lune enumerates
     it once.
@@ -420,7 +422,7 @@ class LuneSumTable:
         if cache_dir is None:
             cache_dir = os.environ.get("BFMIX_CACHE_DIR") or None
         self.cache_dir = cache_dir
-        self._mem: dict[tuple, tuple[float, int]] = {}
+        self._mem: dict[tuple, float] = {}
         self._last: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
         self._file: str | None = None
         self._read = False
@@ -450,7 +452,8 @@ class LuneSumTable:
                 alpha, kx, ky, kz, kf2, value, count = text.split(",")
                 kf2 = _check_kf2(int(kf2) if kf2.isdigit() else float(kf2))
                 key = self._key(float(alpha), (int(kx), int(ky), int(kz)), kf2, None)
-                self._mem.setdefault(key, (float(value), int(count)))
+                int(count)  # checked, not kept
+                self._mem.setdefault(key, float(value))
             except (ValueError, ValidationError):
                 raise ValidationError(
                     f"malformed cache file {self._file}: line {number} is {line!r};"
@@ -482,28 +485,15 @@ class LuneSumTable:
         key = self._key(alpha, ck, kf2, lam2)
         hit = self._mem.get(key)
         if hit is not None:
-            return hit[0]
+            return hit
         lune = (ck, kf2, lam2)
         if self._last is None or self._last[0] != lune:
             self._last = (lune, _lune_histogram(ck, kf2, lam2))
         d, n = self._last[1]
-        value, count = _histogram_sum(float(alpha), d, n), int(n.sum())
-        self._mem[key] = (value, count)
+        value = self._mem[key] = _histogram_sum(float(alpha), d, n)
         if lam2 is None and self._file:
-            self._append(alpha, ck, kf2, value, count)
+            self._append(alpha, ck, kf2, value, int(n.sum()))
         return value
-
-    def count(self, k: Sequence[int], kf2, lam2=None) -> int:
-        ck = canonical_vector(k)
-        kf2 = _check_kf2(kf2)
-        if ck == (0, 0, 0):
-            return 0
-        key = self._key(1.0, ck, kf2, lam2)
-        hit = self._mem.get(key)
-        if hit is not None:
-            return hit[1]
-        self.sum(1.0, ck, kf2, lam2)
-        return self._mem[key][1]
 
 
 _DEFAULT_TABLE = LuneSumTable()

@@ -267,7 +267,6 @@ class EffectivePotential:
 
     base: FourierPotential
     kf2: int | float | None
-    provenance: str = ""
 
     @property
     def at_zero(self) -> float:
@@ -315,7 +314,7 @@ def effective_potential_kF(v: FourierPotential, kf2,
         if val != 0.0:
             out[k] = val
     base = FourierPotential(v.cutoff, out, label=f"mediated({v.label or 'V'})")
-    return EffectivePotential(base, kf2=kf2, provenance=f"V={v.label or 'V'}, kf2={kf2}")
+    return EffectivePotential(base, kf2=kf2)
 
 
 def effective_potential_limit(w: FourierPotential, v: FourierPotential) -> EffectivePotential:
@@ -331,8 +330,7 @@ def effective_potential_limit(w: FourierPotential, v: FourierPotential) -> Effec
             table[k] = val
     base = FourierPotential(max(w.cutoff, v.cutoff), table,
                             label=f"limit({w.label or 'W'},{v.label or 'V'})")
-    return EffectivePotential(base, kf2=None,
-                              provenance=f"W={w.label or 'W'}, V={v.label or 'V'}")
+    return EffectivePotential(base, kf2=None)
 
 
 class SupDifference(NamedTuple):

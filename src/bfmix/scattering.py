@@ -531,7 +531,6 @@ class PhaseDiagram:
     # Whether the computed lengths were nonincreasing on the [0, g0] branch.
     # Observed behaviour on the tested grids, reported rather than asserted.
     a_nonincreasing_on_branch: bool = True
-    collapse_slopes: dict[float, float] | None = None
 
     @property
     def g_grid(self) -> list[float]:

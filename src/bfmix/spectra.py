@@ -20,6 +20,11 @@ fermion-mediated effective pair potential.  It provides
   against the assembled operator product, verifies the sign-definite
   blocks numerically, and tests the exact completed-square identity.
 
+The compare, overlap and decomposition checks take their cutoff through
+one rule (``_checked_cutoff``), and a compare or overlap row builds its
+effective side (mode set, boson modes, pair-free basis, mediated
+potential) once (``_effective_side``).
+
 Dual evaluation paths are kept deliberately separate on the fermion side:
 closed-form sums use this module's own truncated lune enumeration, while
 the matrix path goes through the excitation-operator assembly, and tests
@@ -587,6 +592,21 @@ def default_cutoff_rule(kf2: int) -> float:
     return kf2 + 4.0 * math.sqrt(kf2) + 4.0
 
 
+def _checked_cutoff(kf2, lam2) -> tuple[int, float]:
+    """``kf2`` as a checked positive integer and the squared mode cutoff
+    ``lam2`` as a float (``default_cutoff_rule(kf2)`` when None).
+
+    The one cutoff rule of the compare, overlap and decomposition checks:
+    a cutoff at or below the Fermi level leaves no particle modes, so it
+    raises :class:`~bfmix.errors.ValidationError`.
+    """
+    kf2 = ModeSet._checked_kf2(kf2)
+    lam2 = default_cutoff_rule(kf2) if lam2 is None else float(lam2)
+    if lam2 <= kf2:
+        raise ValidationError("the mode cutoff must exceed the Fermi level")
+    return kf2, lam2
+
+
 # ----------------------------------------------------------------------
 # effective boson spectrum
 # ----------------------------------------------------------------------
@@ -685,8 +705,10 @@ class SpectrumReport:
     """One cutoff's comparison between the two spectral routes.
 
     Invariant: ``diff[i]`` equals ``mu_h[i] - (mu_eff[i] - w_kf0 / 2)``
-    exactly as assembled from the stored fields.  Plain data: its numbers
-    are Python ints and floats, and :mod:`bfmix.cli` writes the compare files.
+    exactly as assembled from the stored fields.  A failed row carries
+    ``message`` and keeps the defaults of the result fields.  Plain data: its
+    numbers are Python ints and floats, and :mod:`bfmix.cli` writes the
+    compare files.
     """
 
     kf2: int
@@ -695,17 +717,17 @@ class SpectrumReport:
     n_bosons: int
     max_pairs: int
     momentum_sector: IVec | None
-    dims: dict
-    mu_h: tuple[float, ...]
-    residuals_h: tuple[float, ...]
-    mu_eff: tuple[float, ...]
-    residuals_eff: tuple[float, ...]
-    w_kf0: float
-    eff_side: tuple[float, ...]
-    diff: tuple[float, ...]
-    trial_rayleigh: float | None
-    overlap: float | None
     q_diag: float
+    dims: dict = field(default_factory=dict)
+    mu_h: tuple[float, ...] = ()
+    residuals_h: tuple[float, ...] = ()
+    mu_eff: tuple[float, ...] = ()
+    residuals_eff: tuple[float, ...] = ()
+    w_kf0: float = 0.0
+    eff_side: tuple[float, ...] = ()
+    diff: tuple[float, ...] = ()
+    trial_rayleigh: float | None = None
+    overlap: float | None = None
     envelope_value: float | None = None
     envelope_c: float | None = None
     proxy_mu1: float | None = None
@@ -751,17 +773,24 @@ def _diagonals(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
                  for kind in ("excitation_kinetic", "pair_number"))
 
 
-def _effective_basis(v, w, n_bosons, kf2, lam2, boson_cutoff, max_dimension) -> tuple:
-    """A row's mode set, boson modes, and the pair-free zero-momentum basis
-    of the effective boson Hamiltonian."""
+def _effective_side(v, w, n_bosons, kf2, lam2, boson_cutoff, max_dimension, table) -> tuple:
+    """A row's effective side, built once per row: the mode set, the
+    reachable boson modes, the pair-free zero-momentum basis of the
+    effective boson Hamiltonian, the mediated potential ``W_kF`` and
+    ``W_eff = W - W_kF``."""
     mode_set = ModeSet.ball(lam2, kf2)
     bmodes = reachable_boson_modes(mode_set, (v, w), boson_cutoff)
     basis0 = FockBasis(mode_set, bmodes, n_bosons, 0, momentum_sector=(0, 0, 0),
                        max_dimension=max_dimension)
-    return mode_set, bmodes, basis0
+    eff = effective_potential_kF(v, kf2, table=table)
+    w_eff = linear_combination(
+        1.0, w, -1.0, eff.base, label="effective_pair_potential"
+    )
+    return mode_set, bmodes, basis0, eff, w_eff
 
 
 def _compare_row(
+    side: tuple,
     v: FourierPotential,
     w: FourierPotential,
     n_bosons: int,
@@ -769,19 +798,13 @@ def _compare_row(
     lam2: float,
     max_pairs: int,
     n: int,
-    boson_cutoff: int,
     tol: float,
     max_dimension: int,
-    table,
     seed: int,
 ) -> SpectrumReport:
-    mode_set, bmodes, basis0 = _effective_basis(v, w, n_bosons, kf2, lam2, boson_cutoff,
-                                                max_dimension)
+    """One compare row on the effective side ``side`` of ``_effective_side``."""
+    mode_set, bmodes, basis0, eff, w_eff = side
     lam = default_coupling(n_bosons, kf2)
-    eff = effective_potential_kF(v, kf2, table=table)
-    w_eff = linear_combination(
-        1.0, w, -1.0, eff.base, label="effective_pair_potential"
-    )
     if n > basis0.dimension:
         raise ValidationError(
             f"n_eigenvalues {n} exceeds the dimension {basis0.dimension} "
@@ -928,27 +951,15 @@ def theorem1_compare(
     rule = lambda_rule if lambda_rule is not None else default_cutoff_rule
     reports: list[SpectrumReport] = []
     for kf2 in kf2_list:
-        kf2 = ModeSet._checked_kf2(kf2)
-        lam2 = float(rule(kf2))
-        if lam2 <= kf2:
-            raise ValidationError(
-                "the mode cutoff must exceed the Fermi level"
-            )
+        kf2, lam2 = _checked_cutoff(kf2, rule(kf2))
         try:
+            side = _effective_side(
+                v, w, n_bosons, kf2, lam2, boson_cutoff, max_dimension, table
+            )
             reports.append(
                 _compare_row(
-                    v,
-                    w,
-                    n_bosons,
-                    kf2,
-                    lam2,
-                    max_pairs,
-                    n,
-                    boson_cutoff,
-                    tol,
-                    max_dimension,
-                    table,
-                    seed,
+                    side, v, w, n_bosons, kf2, lam2, max_pairs, n, tol,
+                    max_dimension, seed,
                 )
             )
         except (CapacityError, ConvergenceError) as exc:
@@ -960,16 +971,6 @@ def theorem1_compare(
                     n_bosons=int(n_bosons),
                     max_pairs=int(max_pairs),
                     momentum_sector=(0, 0, 0),
-                    dims={},
-                    mu_h=(),
-                    residuals_h=(),
-                    mu_eff=(),
-                    residuals_eff=(),
-                    w_kf0=0.0,
-                    eff_side=(),
-                    diff=(),
-                    trial_rayleigh=None,
-                    overlap=None,
                     q_diag=_q_diagnostic(v, w),
                     failed=True,
                     message=str(exc),
@@ -1009,30 +1010,20 @@ def corollary_overlap(
     ``gap_tol * max(1, |mu_1|)`` in either operator, or an effective boson
     sector of fewer than two states, raises
     :class:`~bfmix.errors.DegeneracyError`, since the overlap is not a
-    well-defined diagnostic for degenerate ground spaces.
+    well-defined diagnostic for degenerate ground spaces.  A cutoff ``lam2``
+    at or below ``kf2`` raises :class:`~bfmix.errors.ValidationError`, as in
+    the compare and decomposition checks.
     """
-    kf2 = ModeSet._checked_kf2(kf2)
-    if lam2 is None:
-        lam2 = default_cutoff_rule(kf2)
-    sector = _effective_basis(v, w, n_bosons, kf2, float(lam2), boson_cutoff, max_dimension)[2]
+    kf2, lam2 = _checked_cutoff(kf2, lam2)
+    side = _effective_side(v, w, n_bosons, kf2, lam2, boson_cutoff, max_dimension, table)
+    sector = side[2]
     if sector.dimension < 2:
         raise DegeneracyError(
             f"the effective boson sector at kf2 {kf2} has {sector.dimension} "
             f"state{'' if sector.dimension == 1 else 's'}; the overlap's gap test needs two"
         )
     report = _compare_row(
-        v,
-        w,
-        n_bosons,
-        kf2,
-        float(lam2),
-        max_pairs,
-        2,
-        boson_cutoff,
-        tol,
-        max_dimension,
-        table,
-        seed,
+        side, v, w, n_bosons, kf2, lam2, max_pairs, 2, tol, max_dimension, seed
     )
     gap_h = report.mu_h[1] - report.mu_h[0]
     gap_eff = report.mu_eff[1] - report.mu_eff[0]
@@ -1123,35 +1114,51 @@ def quadratic_decomposition_check(
     whose factors stop commuting once the boson mode list is clipped,
     so sign-definiteness is certified on the pair kernels themselves,
     which is where it holds for every truncation.
+
+    One unrestricted two-pair basis serves both the vacuum form and the
+    operator product: its leading states, those with at most one pair, are
+    the one-pair basis.  A one-pair sector above 6000 states raises
+    :class:`~bfmix.errors.CapacityError` before any basis is built.
     """
     if n_bosons < 1:
         raise ValidationError("need at least one boson")
-    kf2 = ModeSet._checked_kf2(kf2)
-    if lam2 is None:
-        lam2 = default_cutoff_rule(kf2)
-    lam2 = float(lam2)
-    if lam2 <= kf2:
-        raise ValidationError("the mode cutoff must exceed the Fermi level")
+    kf2, lam2 = _checked_cutoff(kf2, lam2)
     mode_set = ModeSet.ball(lam2, kf2)
     bmodes = reachable_boson_modes(mode_set, (v,), boson_cutoff)
     lam = coupling_scale(n_bosons, kf2)
     coupling = _coupling_modes(v)
     lunes = {k: _truncated_lune(mode_set, k) for k, _ in coupling}
 
-    # ---- vacuum-sector quadratic form against the closed form --------
-    basis1 = FockBasis(
+    # The one-pair sector holds (outside, inside) pairs times every boson
+    # configuration; its size is known before any basis is built.
+    nc = math.comb(n_bosons + len(bmodes) - 1, n_bosons)
+    npairs = mode_set.n_outside * mode_set.n_inside
+    dim1 = npairs * nc
+    if dim1 > 6000:
+        raise CapacityError(
+            f"one-pair sector dimension {dim1} too large for the dense "
+            "decomposition diagnostic"
+        )
+
+    # One unrestricted basis up to two pairs.  States come in pair-count
+    # order, so the ``prefix`` states with at most one pair lead it, and pair
+    # creation from the vacuum lands inside that prefix.
+    basis2 = FockBasis(
         mode_set,
         bmodes,
         n_bosons,
-        1,
+        2,
         momentum_sector=None,
         max_dimension=max_dimension,
     )
-    alg = basis1._boson  # the vacuum block holds every boson configuration
-    nc = len(alg.occ)
-    vp1 = operator("pair_create", basis1, v=v).matrix()
-    t1, pc1 = _diagonals(basis1)
-    safe_t1 = np.where(pc1 >= 1, t1, np.inf)
+    alg = basis2._boson  # the vacuum block holds every boson configuration
+    vp2 = operator("pair_create", basis2, v=v).matrix()
+    t2, pc2 = _diagonals(basis2)
+    prefix = nc + dim1
+
+    # ---- vacuum-sector quadratic form against the closed form --------
+    vp1 = vp2[:prefix, :nc]  # vacuum columns, rows with at most one pair
+    safe_t1 = np.where(pc2[:prefix] >= 1, t2[:prefix], np.inf)
     eff = effective_potential_kF(v, kf2)
     lunes_complete = all(
         len(lunes[k][0]) == lune_count(k, kf2) for k, _ in coupling
@@ -1170,9 +1177,7 @@ def quadratic_decomposition_check(
         med_inter = alg.interaction(eff.base)
 
     def product_form(x: np.ndarray) -> float:
-        full = np.zeros(basis1.dimension)
-        full[:nc] = x
-        y = vp1 @ full
+        y = vp1 @ x
         return float(np.sum(y * y / safe_t1))
 
     for t in range(max(trials, 1)):
@@ -1216,13 +1221,6 @@ def quadratic_decomposition_check(
     out_set = set(outside)
     pairs = [(ia, ib) for ia in outside for ib in inside]
     pair_pos = {pr: i for i, pr in enumerate(pairs)}
-    npairs = len(pairs)
-    dim1 = npairs * nc
-    if dim1 > 6000:
-        raise CapacityError(
-            f"one-pair sector dimension {dim1} too large for the dense "
-            "decomposition diagnostic"
-        )
 
     s_mats: dict[IVec, np.ndarray] = {}
 
@@ -1340,17 +1338,7 @@ def quadratic_decomposition_check(
     a3_min = min_eig_negated(kernel3)
 
     # ---- block sum against the assembled operator product -------------
-    basis2 = FockBasis(
-        mode_set,
-        bmodes,
-        n_bosons,
-        2,
-        momentum_sector=None,
-        max_dimension=max_dimension,
-    )
-    vp2 = operator("pair_create", basis2, v=v).matrix()
     vm2 = operator("pair_annihilate", basis2, v=v).matrix()
-    t2, pc2 = _diagonals(basis2)
     tinv2 = np.where(pc2 == 2, 1.0 / np.where(pc2 == 2, t2, 1.0), 0.0)
     product = vm2 @ sp.diags(tinv2).tocsr() @ vp2
     order = np.empty(dim1, dtype=int)

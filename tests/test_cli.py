@@ -639,6 +639,19 @@ def test_spectrum_overlap_on_a_one_state_sector_is_a_failed_row(runner, fourier_
     assert "n_eigenvalues" not in rows[-1]["message"]
 
 
+@pytest.mark.parametrize("check", ["compare", "overlap", "decomposition"])
+def test_spectrum_cutoff_at_or_below_the_fermi_level_exits_2(runner, fourier_files,
+                                                             tmp_path, check):
+    # A cutoff of 4 leaves no particle modes above kf2 9: every check
+    # refuses it before writing its file.
+    cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
+                          kf2_list=[9], checks=[check])
+    result = runner.invoke(main, ["spectrum", "--config", cfg])
+    assert result.exit_code == 2
+    assert "the mode cutoff must exceed the Fermi level" in result.stderr
+    assert not os.path.exists(tmp_path / "out" / f"{check}.json")
+
+
 def test_spectrum_all_rows_failed_nonzero_exit(runner, fourier_files, tmp_path):
     cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
                           max_dimension=10)

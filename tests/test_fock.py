@@ -10,10 +10,10 @@ from bfmix.errors import CapacityError, ValidationError
 from bfmix.fock import (
     ModeSet,
     OperatorHandle,
+    PhysicalBasis,
     _BosonSpace,
     _OffChargeSpace,
     build_basis,
-    build_physical_basis,
     hamiltonian,
     inequality_suite,
     operator,
@@ -389,7 +389,7 @@ class TestBosonSpace:
     @pytest.mark.parametrize("build", [
         lambda ms, modes: build_basis(ms, modes, 40, 1),
         lambda ms, modes: build_basis(ms, modes, 40, 0, momentum_sector=(0, 0, 0)),
-        lambda ms, modes: build_physical_basis(ms, modes, 40),
+        lambda ms, modes: PhysicalBasis(ms, modes, 40),
     ], ids=["fock", "fock-sector", "physical"])
     def test_capacity_checked_before_enumeration(self, build, monkeypatch):
         # 40 bosons on 9 modes: C(48, 8) = 377,348,994 configurations
@@ -406,7 +406,7 @@ class TestBosonSpace:
         with pytest.raises(ValidationError, match="distinct"):
             build_basis(ms, twice, 1, 1)
         with pytest.raises(ValidationError, match="distinct"):
-            build_physical_basis(ms, twice, 1)
+            PhysicalBasis(ms, twice, 1)
         with pytest.raises(ValidationError, match="distinct"):
             make_trial_state(np.ones(2), ms, twice, 1, sample_v())
 
@@ -774,16 +774,16 @@ class TestPhysicalBasis:
     def test_dimension_and_capacity(self):
         ms = six_mode_set()
         boson_modes = [ms.modes[i] for i in ms.inside_indices]
-        phys = build_physical_basis(ms, boson_modes, 1)
+        phys = PhysicalBasis(ms, boson_modes, 1)
         assert phys.fermion_count == 3
         assert phys.dimension == math.comb(6, 3) * 3
         with pytest.raises(CapacityError):
-            build_physical_basis(ms, boson_modes, 1, max_dimension=10)
+            PhysicalBasis(ms, boson_modes, 1, max_dimension=10)
 
     def test_full_hamiltonian_is_symmetric(self):
         ms = six_mode_set()
         boson_modes = [ms.modes[i] for i in ms.inside_indices]
-        phys = build_physical_basis(ms, boson_modes, 1)
+        phys = PhysicalBasis(ms, boson_modes, 1)
         full = operator(
             "full_hamiltonian", phys, v=sample_v(), w=sample_w(), lam=0.4
         ).matrix()

@@ -502,7 +502,7 @@ class TestCacheTable:
         assert len(list(cache.glob("lune_*.csv"))) == 2
         reloaded = lat.LuneSumTable(cache_dir=str(cache))
         assert reloaded.sum(1.0, (2, 0, 1), 7) == v1  # bit exact from the new file
-        assert reloaded.count((1, 2, 0), 7) == lat.lune_count((1, 2, 0), 7)
+        assert self._counts(cache)["1.0,0,1,2,7"] == lat.lune_count((1, 2, 0), 7)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BFMIX_CACHE_DIR", str(tmp_path / "env_cache"))
@@ -510,9 +510,12 @@ class TestCacheTable:
         table.sum(1.0, (1, 0, 0), 2)
         assert list((tmp_path / "env_cache").glob("lune_*.csv"))
 
-    def test_count(self):
-        table = lat.LuneSumTable()
-        assert table.count((1, 0, 0), 1) == 5
+    def test_count(self, tmp_path):
+        # the cache file's count column holds the lune's point count
+        cache = tmp_path / "lunes"
+        lat.LuneSumTable(cache_dir=str(cache)).sum(1.0, (1, 0, 0), 1)
+        assert self._counts(cache) == {"1.0,0,0,1,1": 5}
+        assert lat.lune_count((1, 0, 0), 1) == 5
 
     # The cache is one append-only file per summation algorithm.
     SUMS = [(1.0, (1, 2, 0), 7), (2.0, (1, 2, 0), 7), (0.5, (3, 1, 1), 40.25),
@@ -529,6 +532,13 @@ class TestCacheTable:
     def _file(cache) -> str:
         return str(cache / f"lune_{content_hash([lat.LuneSumTable._ALGORITHM])}.csv")
 
+    @classmethod
+    def _counts(cls, cache) -> dict:
+        """The cache file's count column, keyed by ``alpha,kx,ky,kz,kF_squared``."""
+        with open(cls._file(cache)) as fh:
+            rows = [line.rsplit(",", 2) for line in fh.read().splitlines()[1:]]
+        return {key: int(count) for key, _, count in rows}
+
     def test_one_file_round_trip_bit_exact(self, tmp_path, monkeypatch):
         cache = tmp_path / "lunes"
         table = lat.LuneSumTable(cache_dir=str(cache))
@@ -541,7 +551,7 @@ class TestCacheTable:
         self._no_enumeration(monkeypatch)
         reloaded = lat.LuneSumTable(cache_dir=str(cache))
         assert {s: reloaded.sum(*s) for s in self.SUMS} == want
-        assert reloaded.count((1, 0, 0), 2575) == lat.lune_count((1, 0, 0), 2575)
+        assert self._counts(cache)["1.0,0,0,1,2575"] == lat.lune_count((1, 0, 0), 2575)
 
     def test_two_tables_append_alternately(self, tmp_path, monkeypatch):
         cache = str(tmp_path / "lunes")
@@ -588,16 +598,15 @@ class TestCacheTable:
             fresh[(float(alpha), (int(kx), int(ky), int(kz)), float(kf2))] = got
         self._no_enumeration(monkeypatch)
         table = lat.LuneSumTable(cache_dir=str(cache))
-        for (alpha, k, kf2), (value, count) in fresh.items():
+        for (alpha, k, kf2), (value, _) in fresh.items():
             assert table.sum(alpha, k[::-1], kf2) == value  # a hit, bit for bit
-            if alpha == 1.0:  # count reads the D_1 row
-                assert table.count(k, kf2) == count
         with open(self._file(cache)) as fh:
             assert fh.read() == self.EARLIER_ROWS  # nothing appended
 
     @pytest.mark.parametrize("line", [b"1.0,1,0,0,10", b"1.0,1,0,0,10,x,3",
-                                      b"1.0,1,0,0,-10,2.5,3", b"\xff\xfe"],
-                             ids=["short", "value", "kf2", "binary"])
+                                      b"1.0,1,0,0,10,2.5,x", b"1.0,1,0,0,-10,2.5,3",
+                                      b"\xff\xfe"],
+                             ids=["short", "value", "count", "kf2", "binary"])
     def test_malformed_middle_line_raises(self, tmp_path, line):
         cache = tmp_path / "lunes"
         lat.LuneSumTable(cache_dir=str(cache)).sum(*self.SUMS[0])
@@ -633,8 +642,6 @@ class TestCacheTable:
         for bad in (0, -5, 0.0, True):
             with pytest.raises(ValidationError, match="kf2"):
                 table.sum(1.0, (0, 0, 0), bad)
-            with pytest.raises(ValidationError, match="kf2"):
-                table.count((0, 0, 0), bad)
             with pytest.raises(ValidationError, match="kf2"):
                 lat.lune_count((0, 0, 0), bad)
         assert table.sum(1.0, (0, 0, 0), 4) == 0.0 and lat.lune_count((0, 0, 0), 4) == 0

@@ -476,6 +476,24 @@ def test_kf2_entry_points_reject_non_positive_integers(entry, kf2):
         KF2_ENTRY_POINTS[entry](kf2)
 
 
+# every check that takes a mode cutoff refuses one at or below the Fermi level
+CUTOFF_ENTRY_POINTS = {
+    "theorem1_compare": lambda kf2, lam2: theorem1_compare(
+        single_mode_v(), sample_w(), 2, [kf2], lambda_rule=lambda _: lam2),
+    "corollary_overlap": lambda kf2, lam2: corollary_overlap(
+        single_mode_v(), sample_w(), 2, kf2, lam2=lam2),
+    "quadratic_decomposition_check": lambda kf2, lam2: quadratic_decomposition_check(
+        single_mode_v(), 2, kf2, lam2=lam2),
+}
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["at", "below"])
+@pytest.mark.parametrize("entry", sorted(CUTOFF_ENTRY_POINTS))
+def test_cutoff_at_or_below_the_fermi_level_is_refused(entry, below):
+    with pytest.raises(ValidationError, match="the mode cutoff must exceed the Fermi level"):
+        CUTOFF_ENTRY_POINTS[entry](9, 9 - below)
+
+
 # ----------------------------------------------------------------------
 # effective spectrum
 # ----------------------------------------------------------------------
@@ -802,6 +820,42 @@ def test_quadratic_decomposition_validation():
         quadratic_decomposition_check(single_mode_v(), 1, 0)
     with pytest.raises(ValidationError):
         quadratic_decomposition_check(single_mode_v(), 1, 4, lam2=4)
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count ``ModeSet.ball`` and ``FockBasis.__init__`` calls from here on."""
+    counts = {"ball": 0, "basis": 0}
+    ball, init = ModeSet.ball.__func__, FockBasis.__init__
+
+    def counted_ball(cls, *args, **kwargs):
+        counts["ball"] += 1
+        return ball(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["basis"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeSet, "ball", classmethod(counted_ball))
+    monkeypatch.setattr(FockBasis, "__init__", counted_init)
+    return counts
+
+
+# one row or report of each check, standard potentials
+ONE_ROW = {
+    "compare": lambda: theorem1_compare(single_mode_v(), sample_w(), 2, [9]),
+    "overlap": lambda: corollary_overlap(single_mode_v(), sample_w(), 2, 9),
+    "decomposition": lambda: quadratic_decomposition_check(single_mode_v(), 1, 1, lam2=4),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ONE_ROW))
+def test_each_check_builds_its_mode_set_and_bases_once(monkeypatch, check):
+    # A row's effective side (mode set, pair-free basis) is built once and
+    # shared; the decomposition reads its one-pair sector off the two-pair
+    # basis and builds only the momentum-sector basis besides.
+    counts = _count_builds(monkeypatch)
+    ONE_ROW[check]()
+    assert counts == {"ball": 1, "basis": 2}
 
 
 def test_spectra_reads_bases_through_the_block_lookup():
