@@ -1118,12 +1118,18 @@ def quadratic_decomposition_check(
     One unrestricted two-pair basis serves both the vacuum form and the
     operator product: its leading states, those with at most one pair, are
     the one-pair basis.  A one-pair sector above 6000 states raises
-    :class:`~bfmix.errors.CapacityError` before any basis is built.
+    :class:`~bfmix.errors.CapacityError` before any basis is built, and a
+    cutoff that leaves no particle mode raises
+    :class:`~bfmix.errors.ValidationError`.
     """
     if n_bosons < 1:
         raise ValidationError("need at least one boson")
     kf2, lam2 = _checked_cutoff(kf2, lam2)
     mode_set = ModeSet.ball(lam2, kf2)
+    if mode_set.n_outside == 0:  # the hopping kernels would be 0 x 0
+        raise ValidationError(
+            f"the mode cutoff {lam2:g} leaves no particle mode above kf2 {kf2}"
+        )
     bmodes = reachable_boson_modes(mode_set, (v,), boson_cutoff)
     lam = coupling_scale(n_bosons, kf2)
     coupling = _coupling_modes(v)

@@ -30,11 +30,14 @@ def _ivec(k) -> IVec:
 
 
 def _is_number(x, kind=(int, float)) -> bool:
-    """``x`` is a finite instance of ``kind``, not a JSON ``true``/``false``
-    and not ``NaN`` or ``Infinity``."""
+    """``x`` is a finite instance of ``kind``, not a JSON ``true``/``false``,
+    not ``NaN`` or ``Infinity`` and not an integer beyond float range."""
     if not isinstance(x, kind) or isinstance(x, bool):
         return False
-    return isinstance(x, int) or math.isfinite(x)
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int that no float can hold
+        return False
 
 
 def _norm2(k: IVec) -> int:

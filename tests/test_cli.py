@@ -271,6 +271,45 @@ def test_scatter_non_number_in_radial_file_is_schema_error(runner, radial_files,
     assert field in result.stderr
 
 
+# 10**400 is a JSON integer that no float can hold: a schema error, not an
+# OverflowError from the float conversion in the loader.
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"cutoff": HUGE, "coeffs": [[1, 0, 0, 0.3]]}, "field 'cutoff'"),
+    ({"cutoff": 1, "coeffs": [[1, 0, 0, HUGE]]}, "field 'coeffs' row 0"),
+    ({"cutoff": 1, "coeffs": [[0, 0, 0, 0.1], [HUGE, 0, 0, 0.3]]}, "field 'coeffs' row 1"),
+], ids=["cutoff", "value", "mode"])
+def test_effpot_integer_beyond_float_range_in_fourier_file_is_schema_error(runner, tmp_path,
+                                                                            data, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "fourier", **data}))
+    result = runner.invoke(main, ["effpot", "--V", str(bad), "--kf2", "4"])
+    assert result.exit_code == 2
+    assert field in result.stderr
+
+
+def test_effpot_kf2_beyond_float_range_is_usage_error(runner, fourier_files):
+    result = runner.invoke(main, ["effpot", "--V", fourier_files["v"], "--kf2", str(HUGE)])
+    assert result.exit_code == 2
+    assert "kf2 must be positive" in result.stderr
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"r_max": HUGE, "samples": [1.0, 0.0]}, "field 'r_max'"),
+    ({"r_max": 2.0, "samples": [1.0, HUGE, 0.0]}, "field 'samples'"),
+], ids=["r-max", "sample"])
+def test_scatter_integer_beyond_float_range_in_radial_file_is_schema_error(
+        runner, radial_files, tmp_path, data, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "radial", **data}))
+    result = runner.invoke(main, ["scatter", "--w", str(bad), "--v", radial_files["v"],
+                                  "--g", "0:0.1:0.1"])
+    assert result.exit_code == 2
+    assert field in result.stderr
+
+
 def test_effpot_sweep_sup_difference_monotone(runner, fourier_files):
     result = runner.invoke(main, [
         "effpot", "--V", fourier_files["v"],
@@ -650,6 +689,18 @@ def test_spectrum_cutoff_at_or_below_the_fermi_level_exits_2(runner, fourier_fil
     assert result.exit_code == 2
     assert "the mode cutoff must exceed the Fermi level" in result.stderr
     assert not os.path.exists(tmp_path / "out" / f"{check}.json")
+
+
+def test_spectrum_decomposition_cutoff_without_particle_modes_exits_2(runner, fourier_files,
+                                                                      tmp_path):
+    # No lattice point has 1 < |p|^2 <= 1.5: the cutoff leaves no particle
+    # mode, so the check refuses it before writing its file.
+    cfg = spectrum_config(tmp_path, v=fourier_files["v"], w=fourier_files["w"],
+                          kf2_list=[1], cutoff_rule=1.5, checks=["decomposition"])
+    result = runner.invoke(main, ["spectrum", "--config", cfg])
+    assert result.exit_code == 2
+    assert "leaves no particle mode" in result.stderr
+    assert not os.path.exists(tmp_path / "out" / "decomposition.json")
 
 
 def test_spectrum_all_rows_failed_nonzero_exit(runner, fourier_files, tmp_path):

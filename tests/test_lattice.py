@@ -668,6 +668,19 @@ def test_kf2_that_is_not_a_finite_number_is_a_validation_error(entry, kf2):
         _KF2_ENTRY_POINTS[entry](kf2)
 
 
+@pytest.mark.parametrize("entry", ["check_kf2"] + list(_KF2_ENTRY_POINTS))
+def test_kf2_integer_beyond_float_range_is_a_validation_error(entry):
+    # 10**400 is an int, but float(10**400) raises OverflowError
+    call = lat._check_kf2 if entry == "check_kf2" else _KF2_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match="kf2 must be positive"):
+        call(10 ** 400)
+
+
+def test_mode_set_kf2_integer_beyond_float_range_is_a_validation_error():
+    with pytest.raises(ValidationError, match="kf2 must be a positive integer"):
+        ModeSet._checked_kf2(10 ** 400)
+
+
 class TestAsymptoticsReport:
     def test_structure_and_regimes(self):
         rows = lat.asymptotics_report([(1, 0, 0), (3, 0, 0)], [1, 4], table=lat.LuneSumTable())

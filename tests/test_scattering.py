@@ -72,6 +72,32 @@ def _radial_convolution_loop(v: RadialProfile, u: RadialProfile, n_out: int = 10
     return RadialProfile(r_total, out)
 
 
+def _nested_convolution_gather(v: RadialProfile, cum: _CumulativeRU, steps: int) -> np.ndarray:
+    """Reference: _nested_convolution with each block's windows gathered by
+    fancy indexing (copies), as first written."""
+    lattice = max(2 * (v.n - 1), steps)
+    m, p = lattice // 2, lattice // steps
+    delta = v.r_max / m
+    theta = (0.5 * (1.0 + _GAUSS3_X))[:, None]
+    cell = np.arange(3 * m, dtype=float)
+    s = (cell[:m] + theta) * delta
+    weights = 0.5 * delta * s * v(s)
+    table = cum((cell + theta) * delta)
+    starts = p * np.arange(1, steps + 1)
+    rows = max(1, scattering._ELEMENTS // m)
+    acc = np.zeros(steps)
+    for q, wq in enumerate(_GAUSS3_W):
+        plus = np.lib.stride_tricks.sliding_window_view(table[q], m)
+        mirrored = np.concatenate([table[2 - q, 2 * m - 1::-1], table[q, :m]])
+        minus = np.lib.stride_tricks.sliding_window_view(mirrored, m)
+        node = np.empty(steps)
+        for b in range(0, steps, rows):
+            i = starts[b:b + rows]
+            node[b:b + rows] = ((plus[i] - minus[2 * m - i]) * weights[q]).sum(axis=1)
+        acc += wq * node
+    return acc
+
+
 def _integrate_zero_energy_loop(w: RadialProfile, steps: int):
     """Reference: the zero-energy RK4 on NumPy scalars, as first written."""
     r_end = w.r_max
@@ -215,6 +241,33 @@ class TestRadialConvolution:
         want = _radial_convolution_loop(v, u, n_out=n_out)
         assert got.r_max == want.r_max
         assert np.max(np.abs(got.values - want.values)) <= 5e-14 * np.max(np.abs(want.values))
+
+    @pytest.mark.parametrize("elements", [1, 300, scattering._ELEMENTS],
+                             ids=["one_row", "e300", "default"])
+    @pytest.mark.parametrize("n, n_out, partner", [
+        (9, 1025, "self"), (257, 1025, "self"), (1025, 1025, "self"), (1025, 257, "self"),
+        (2049, 1025, "self"), (1024, 1024, "self"), (1025, 257, "ramp"),
+    ])
+    def test_strided_windows_match_gather_bitwise(self, monkeypatch, n, n_out, partner,
+                                                  elements):
+        # The windows of radii p(b+1), p(b+2), ... are strided views of the
+        # sliding windows; the gathered copies hold the same values, and each
+        # row is summed over the same contiguous length, so no bit may move.
+        # Strides p = 1, 2, 4 and 8; blocks of one row, of a partial last
+        # block (300 elements) and of the default size.
+        monkeypatch.setattr(scattering, "_ELEMENTS", elements)
+        if n == 9:
+            v = RadialProfile.from_samples(
+                4.0, [1.0, 0.895, 0.641, 0.368, 0.169, 0.062, 0.018, 0.004, 0.0])
+        else:
+            v = _gaussian(0.6, 1.0, 4.0, n=n)
+        u = v if partner == "self" else RadialProfile(v.r_max, np.linspace(1.0, -0.5, n))
+        cells, steps = 2 * (n - 1), n_out - 1
+        assert cells % steps == 0 or steps % cells == 0
+        cum = _CumulativeRU(u)
+        got = scattering._nested_convolution(v, cum, steps)
+        want = _nested_convolution_gather(v, cum, steps)
+        assert np.array_equal(got, want)
 
     def test_nested_block_size_does_not_matter(self, monkeypatch):
         v = _gaussian(0.6, 1.0, 4.0, n=257)

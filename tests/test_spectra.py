@@ -822,6 +822,14 @@ def test_quadratic_decomposition_validation():
         quadratic_decomposition_check(single_mode_v(), 1, 4, lam2=4)
 
 
+@pytest.mark.parametrize("n_bosons", [1, 2])
+def test_quadratic_decomposition_cutoff_without_particle_modes(n_bosons):
+    # No lattice point has 1 < |p|^2 <= 1.5, so the hopping kernels would be
+    # 0 x 0: a ValidationError, not NumPy's empty-reduction ValueError.
+    with pytest.raises(ValidationError, match="leaves no particle mode above kf2 1"):
+        quadratic_decomposition_check(single_mode_v(), n_bosons, 1, lam2=1.5)
+
+
 def _count_builds(monkeypatch) -> dict:
     """Count ``ModeSet.ball`` and ``FockBasis.__init__`` calls from here on."""
     counts = {"ball": 0, "basis": 0}
