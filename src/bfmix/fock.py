@@ -47,11 +47,13 @@ Block layout
 ------------
 A :class:`FockBasis` is a run of excitation blocks in (pair count, particle
 indices, hole indices) order; a block holds the boson configurations of one
-momentum class at consecutive state indices.  The layout exists only as
-arrays: per pair level a ``_Level`` (the blocks' particle and hole ModeSet
-indices, their sorted keys, the level's first block index), per block
-its class id ``_cid`` and first state index ``_starts``, and per class id
-its boson configurations ``_members``.  :meth:`FockBasis.block` maps one
+momentum class at consecutive state indices.  Momenta are matched by their
+ModeSet keys (``_KEY_WEIGHTS``), exact below 2**20: a sector whose momenta
+could reach that raises ValidationError.  The layout exists only as arrays:
+per pair level a ``_Level`` (the blocks' particle and hole ModeSet indices,
+their sorted keys, the level's first block index), per block its class id
+``_cid`` and first state index ``_starts``, and per class id its boson
+configurations ``_members``.  :meth:`FockBasis.block` maps one
 block, given as ascending particle and hole ModeSet indices, to its state
 indices and boson-configuration indices (None when the basis lacks it); code
 outside this module reads blocks only through it.
@@ -105,11 +107,14 @@ from .util import IVec, _is_number, _ivec, _neg, _sub, rng
 _ZERO: IVec = (0, 0, 0)
 
 
-# A mode's key is its dot product with _KEY_WEIGHTS.  For coordinates below
-# 2**20 in magnitude, distinct modes get distinct keys and key order is
-# lexicographic order.  Modes keep their coordinates below _LIMIT = 2**18, so
-# a shift by k with |k| < 2 * _LIMIT moves every key by k @ _KEY_WEIGHTS.
+# A momentum's key is its dot product with _KEY_WEIGHTS.  For coordinates
+# below _KEY_RANGE = 2**20 in magnitude, distinct momenta get distinct keys
+# and key order is lexicographic order; keys are linear, so the key of a sum
+# is the sum of the keys.  ModeSet indexes its modes and FockBasis matches
+# momenta by it.  Modes keep their coordinates below _LIMIT = 2**18, so a
+# shift by k with |k| < 2 * _LIMIT moves every key by k @ _KEY_WEIGHTS.
 _LIMIT = 1 << 18
+_KEY_RANGE = 1 << 20
 _KEY_WEIGHTS = np.array([1 << 42, 1 << 21, 1], dtype=np.int64)
 
 
@@ -351,6 +356,8 @@ def _boson_space(mode_set: ModeSet, boson_modes, n: int, max_dimension=math.inf)
     """The space of ``n`` bosons on ``boson_modes``, which must lie in
     ``mode_set``; CapacityError before it would enumerate more than
     ``max_dimension`` configurations, ``C(n + d - 1, n)`` on ``d`` modes."""
+    if not _is_number(n, numbers.Integral):
+        raise ValidationError(f"boson number must be an integer, not {n!r}")
     bmodes = tuple(_ivec(m) for m in boson_modes)
     for m in bmodes:
         if m not in mode_set:
@@ -359,7 +366,7 @@ def _boson_space(mode_set: ModeSet, boson_modes, n: int, max_dimension=math.inf)
         raise CapacityError(
             f"boson space of {count} configurations exceeds the cap {max_dimension}"
         )
-    return _BosonSpace(bmodes, n)
+    return _BosonSpace(bmodes, int(n))
 
 
 def _combinations(indices: np.ndarray, count: int) -> np.ndarray:
@@ -393,16 +400,6 @@ def _subset_rank(rows: np.ndarray, n: int) -> np.ndarray:
     ``range(n)`` of its size: ``C(n, c) - 1 - Σ_i C(n - 1 - a_i, c - i)``."""
     c = rows.shape[1]
     return math.comb(n, c) - 1 - _rank_terms(n, c)[np.arange(c), rows].sum(axis=1)
-
-
-def _row_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic rank of each row among the distinct rows, and those."""
-    srt = np.lexsort(rows.T[::-1])
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (np.diff(rows[srt], axis=0) != 0).any(axis=1)
-    codes = np.empty(len(rows), dtype=np.int64)
-    codes[srt] = np.cumsum(new) - 1
-    return codes, rows[srt[new]]
 
 
 def _below(occ: np.ndarray, x) -> np.ndarray:
@@ -462,7 +459,9 @@ class FockBasis:
     excitation block the boson configurations in their canonical
     combinations-with-replacement order (restricted to the compatible
     momentum class when a total-momentum sector is requested).  The ordering
-    is fully deterministic.
+    is fully deterministic.  Momenta are matched by their ModeSet keys, so
+    ValidationError when a compared momentum could reach 2**20 in a
+    coordinate, and for an ``n_bosons`` or ``max_pairs`` that is no integer.
     """
 
     def __init__(
@@ -474,16 +473,26 @@ class FockBasis:
         momentum_sector=None,
         max_dimension: int = 2_000_000,
     ):
-        if max_pairs < 0:
-            raise ValidationError("max_pairs must be nonnegative")
+        if not _is_number(max_pairs, numbers.Integral) or max_pairs < 0:
+            raise ValidationError("max_pairs must be a nonnegative integer")
         self.mode_set = mode_set
-        self.n_bosons = int(n_bosons)
-        self._boson = _boson_space(mode_set, boson_modes, self.n_bosons, max_dimension)
+        self._boson = _boson_space(mode_set, boson_modes, n_bosons, max_dimension)
+        self.n_bosons = self._boson.n
         self.boson_modes = self._boson.modes
         self.max_pairs = int(max_pairs)
         self.momentum_sector = (
             None if momentum_sector is None else _ivec(momentum_sector)
         )
+        modes = mode_set.points
+        n_out, n_in = mode_set.n_outside, mode_set.n_inside
+        top = min(self.max_pairs, n_out, n_in)
+        # _match compares sector + (up to top) holes - a boson class with
+        # parts by their keys, which are exact only inside _KEY_RANGE
+        if self.momentum_sector is not None:
+            reach = (max(map(abs, self.momentum_sector)) + top * int(np.abs(modes).max())
+                     + int(np.abs(self._boson.momenta).max()))
+            if reach >= _KEY_RANGE:
+                raise ValidationError(f"momenta reach {reach}; keys are exact below {_KEY_RANGE}")
 
         # Boson momentum classes in order of first appearance: key -> class
         # id, and per configuration its class id and position in the class.
@@ -492,9 +501,10 @@ class FockBasis:
         if self.momentum_sector is None:
             cid, keys = np.zeros(len(self._boson.occ), dtype=np.int64), [None]
         else:
-            codes, moms = _row_codes(self._boson.momenta)
-            order = np.argsort(np.unique(codes, return_index=True)[1])
-            cid, keys = np.argsort(order)[codes], map(tuple, moms[order].tolist())
+            moms = self._boson.momenta
+            _, first, codes = np.unique(moms @ _KEY_WEIGHTS, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            cid, keys = np.argsort(order)[codes], map(tuple, moms[first[order]].tolist())
         self._class_id = {key: c for c, key in enumerate(keys)}
         self._sizes = np.bincount(cid)
         members = np.argsort(cid, kind="stable")
@@ -502,10 +512,6 @@ class FockBasis:
         self._bcid, self._bpos = cid, np.empty_like(cid)
         self._bpos[members] = np.arange(len(cid)) - np.repeat(
             np.cumsum(self._sizes) - self._sizes, self._sizes)
-
-        modes = mode_set.points
-        n_out, n_in = mode_set.n_outside, mode_set.n_inside
-        top = min(self.max_pairs, n_out, n_in)
 
         # Dimension first, from counts alone, so the cap is checked before
         # any state list is built.
@@ -563,11 +569,11 @@ class FockBasis:
         [lo, hi) of parts with momentum sector + sum(holes) - Q."""
         parts = _combinations(self.mode_set.outside_indices, p)
         holes = _combinations(self.mode_set.inside_indices, p)
-        h_code, h_mom = _row_codes(modes[holes].sum(axis=1))
-        qs = np.array([key or _ZERO for key in self._class_id], dtype=np.int64)
-        want = np.add(self.momentum_sector or _ZERO, h_mom)[:, None] - qs
-        codes = _row_codes(np.concatenate([modes[parts].sum(1), want.reshape(-1, 3)]))[0]
-        have, want = codes[: len(parts)], codes[len(parts) :].reshape(len(h_mom), -1)
+        key = modes @ _KEY_WEIGHTS  # keys add like momenta
+        h_key, h_code = np.unique(key[holes].sum(axis=1), return_inverse=True)
+        qs = np.array([q or _ZERO for q in self._class_id], dtype=np.int64) @ _KEY_WEIGHTS
+        want = (np.dot(self.momentum_sector or _ZERO, _KEY_WEIGHTS) + h_key)[:, None] - qs
+        have = key[parts].sum(axis=1)
         order = np.argsort(have, kind="stable")
         have = have[order]
         return (parts, holes, np.argsort(h_code, kind="stable"), np.bincount(h_code),
@@ -677,11 +683,12 @@ class PhysicalBasis:
         max_dimension: int = 5000,
     ):
         self.mode_set = mode_set
-        self.fermion_count = mode_set.n_inside if fermion_count is None else int(fermion_count)
-        if not 0 <= self.fermion_count <= len(mode_set):
-            raise ValidationError("fermion count out of range for the mode set")
-        self.n_bosons = int(n_bosons)
-        self._boson = _boson_space(mode_set, boson_modes, self.n_bosons, max_dimension)
+        count = mode_set.n_inside if fermion_count is None else fermion_count
+        if not _is_number(count, numbers.Integral) or not 0 <= count <= len(mode_set):
+            raise ValidationError("fermion count must be an integer in range for the mode set")
+        self.fermion_count = int(count)
+        self._boson = _boson_space(mode_set, boson_modes, n_bosons, max_dimension)
+        self.n_bosons = self._boson.n
         self.boson_modes = self._boson.modes
         self.dimension = math.comb(len(mode_set), self.fermion_count) * len(self._boson.occ)
         if self.dimension > max_dimension:
@@ -831,10 +838,8 @@ def hamiltonian(
 
 
 def _diag_matrix(diag: np.ndarray) -> sp.csr_matrix:
-    n = diag.shape[0]
-    return sp.csr_matrix(
-        (diag, (np.arange(n), np.arange(n))), shape=(n, n)
-    )
+    idx = np.arange(len(diag))
+    return sp.csr_matrix((diag, (idx, idx)), shape=(len(diag),) * 2)
 
 
 def _expand_diag(basis: FockBasis, per_exc: np.ndarray | None,
@@ -1051,14 +1056,11 @@ def _assemble(op: OperatorHandle) -> sp.csr_matrix:
         return _conjugated_matrix(op)
 
     if kind == "boson_kinetic":
-        diag = _expand_diag(basis, None, basis._boson.kinetic)
-        return _diag_matrix(diag)
+        return _diag_matrix(_expand_diag(basis, None, basis._boson.kinetic))
     if kind == "excitation_kinetic":
         return _diag_matrix(_expand_diag(basis, basis._t_diag, None))
     if kind == "pair_number":
-        return _diag_matrix(
-            _expand_diag(basis, basis._pair_count.astype(float), None)
-        )
+        return _diag_matrix(_expand_diag(basis, basis._pair_count.astype(float), None))
     if kind == "charge":
         return sp.csr_matrix((basis.dimension, basis.dimension))
     if kind == "boson_interaction":
@@ -1126,13 +1128,9 @@ def particle_hole_check(
         "conjugated_hamiltonian", basis, v=v, w=w, lam=lam,
         max_dimension=max_dimension,
     ).matrix()
-    ham = OperatorHandle(
-        "excitation_hamiltonian", basis, v=v, w=w, lam=lam
-    ).matrix()
+    ham = hamiltonian(basis, v, w, lam).matrix()
     const = mode_set.fermi_energy + lam * n_bosons * m_tilde * v.coefficient(_ZERO)
-    diff = (
-        conj - ham - const * sp.identity(basis.dimension, format="csr")
-    ).tocsr()
+    diff = (conj - ham - const * sp.identity(basis.dimension, format="csr")).tocsr()
     return float(np.max(np.abs(diff.data))) if diff.data.size else 0.0
 
 

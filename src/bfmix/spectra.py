@@ -37,6 +37,7 @@ hand-written oracle is ``tests/boson_oracles.py``.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from math import fsum
@@ -70,7 +71,7 @@ from .potentials import (
     linear_combination,
     zero_potential,
 )
-from .util import IVec, _add, _ivec, _neg, _norm2, _sub, rng
+from .util import IVec, _add, _is_number, _ivec, _neg, _norm2, _sub, rng
 
 __all__ = [
     "EigenResult",
@@ -172,7 +173,7 @@ def lowest_eigenvalues(
     if basis is not None and basis is not op.basis:
         raise ValidationError("basis does not match the operator handle")
     dim = op.basis.dimension
-    if not 1 <= n <= dim:
+    if not _is_number(n, numbers.Integral) or not 1 <= n <= dim:
         raise ValidationError(
             f"requested {n} eigenvalues from a dimension-{dim} operator"
         )
@@ -369,7 +370,7 @@ def make_trial_state(
     lam: float | None = None,
 ) -> TrialState:
     """Build a dressed trial state from a bare boson coefficient vector."""
-    algebra = _boson_space(mode_set, boson_modes, int(n_bosons))
+    algebra = _boson_space(mode_set, boson_modes, n_bosons)
     vec = np.asarray(phi, dtype=float)
     if vec.shape != (len(algebra.occ),):
         raise ValidationError(
@@ -406,7 +407,7 @@ def make_trial_state(
     return TrialState(
         mode_set=mode_set,
         boson_modes=algebra.modes,
-        n_bosons=int(n_bosons),
+        n_bosons=algebra.n,
         v=v,
         lam=float(lam),
         phi=vec,

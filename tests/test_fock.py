@@ -298,6 +298,14 @@ class TestBuildBasis:
         with pytest.raises(ValidationError):
             ExcitationConfig(((1, 1, 0),), ())
 
+    @pytest.mark.parametrize(
+        "n_bosons, max_pairs", [(1.5, 1), (True, 1), (1, 1.5), (1, True)],
+        ids=["bosons-fractional", "bosons-bool", "pairs-fractional", "pairs-bool"])
+    def test_counts_must_be_whole_numbers(self, n_bosons, max_pairs):
+        # a fractional or bool count is refused, not truncated to an int
+        with pytest.raises(ValidationError, match="integer"):
+            build_basis(ModeSet.ball(4, 1), [(0, 0, 0)], n_bosons, max_pairs)
+
 
 class TestBosonNormalization:
     def test_pair_interaction_matches_first_quantized_quadrature(self):
@@ -771,6 +779,12 @@ class TestMetadataAndExport:
 
 
 class TestPhysicalBasis:
+    @pytest.mark.parametrize("n_bosons, fermion_count", [(1.5, None), (1, 1.5), (1, True)],
+                             ids=["bosons-fractional", "fermions-fractional", "fermions-bool"])
+    def test_counts_must_be_whole_numbers(self, n_bosons, fermion_count):
+        with pytest.raises(ValidationError, match="integer"):
+            PhysicalBasis(six_mode_set(), [(0, 0, 0)], n_bosons, fermion_count)
+
     def test_dimension_and_capacity(self):
         ms = six_mode_set()
         boson_modes = [ms.modes[i] for i in ms.inside_indices]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from bfmix.errors import CapacityError
+from bfmix.errors import CapacityError, ValidationError
 from bfmix.fock import FockBasis, ModeSet, build_basis
 from bfmix.spectra import default_cutoff_rule
 from bfmix.util import _add, _norm2, _sub
@@ -122,19 +122,39 @@ def lexicographic_ball(max_norm2: int, kf2: int) -> ModeSet:
     return ModeSet(sorted(ball.modes), kf2)
 
 
-@pytest.mark.parametrize("kf2", [1, 2])
-@pytest.mark.parametrize("mode_set", [ModeSet.ball, lexicographic_ball])
-def test_order_matches_reference_up_to_two_pairs(kf2, mode_set):
-    ms = mode_set(kf2 + 2, kf2)
-    for sector in SECTORS:
-        for n_bosons in (1, 2, 3):
+def scaled(modes, factor=1 << 17):
+    return [tuple(factor * c for c in m) for m in modes]
+
+
+# (mode set, boson modes, sectors, boson numbers)
+CASES = {
+    f"{mode_set.__name__}-{kf2}": (mode_set(kf2 + 2, kf2), SEVEN, SECTORS, (1, 2, 3))
+    for mode_set in (ModeSet.ball, lexicographic_ball) for kf2 in (1, 2)
+}
+# The 19 modes of ModeSet.ball(2, 1) times 2**17, 7 inside and 12 outside:
+# summed momenta come near the 2**20 range of the FockBasis momentum key.
+CASES["scaled_ball"] = (ModeSet(scaled(ModeSet.ball(2, 1).modes), 1 << 34), scaled(SEVEN),
+                        [(0, 0, 0), *scaled([(1, 0, 0)])], (1, 2))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_order_matches_reference_up_to_two_pairs(case):
+    ms, boson_modes, sectors, boson_numbers = CASES[case]
+    for sector in sectors:
+        for n_bosons in boson_numbers:
             for max_pairs in (0, 1, 2):
                 assert_matches_reference(
                     FockBasis(
-                        ms, SEVEN, n_bosons, max_pairs, sector,
+                        ms, boson_modes, n_bosons, max_pairs, sector,
                         max_dimension=10**7,
                     )
                 )
+
+
+def test_momenta_beyond_the_key_range_are_refused():
+    # the sector's key would collide with in-range momenta
+    with pytest.raises(ValidationError, match="keys are exact below"):
+        FockBasis(ModeSet.ball(4, 1), [(0, 0, 0)], 1, 1, momentum_sector=(0, 2**21, 0))
 
 
 @pytest.mark.parametrize("kf2", range(1, 26))

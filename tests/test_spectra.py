@@ -161,6 +161,14 @@ def test_eigensolver_validation():
         lowest_eigenvalues(op, basis=other)
 
 
+@pytest.mark.parametrize("n", [1.5, True], ids=["fractional", "bool"])
+def test_eigenvalue_count_must_be_an_integer(n):
+    ms = ModeSet.ball(1, 1)
+    op = hamiltonian(FockBasis(ms, ms.modes, 1, 0), zero_potential(), zero_potential(), lam=0.0)
+    with pytest.raises(ValidationError):
+        lowest_eigenvalues(op, n=n)
+
+
 def test_eigenresult_clusters_and_gauge():
     ms = ModeSet.ball(1, 1)
     basis = FockBasis(ms, ms.modes, 1, 0, momentum_sector=None)
@@ -485,6 +493,22 @@ CUTOFF_ENTRY_POINTS = {
     "quadratic_decomposition_check": lambda kf2, lam2: quadratic_decomposition_check(
         single_mode_v(), 2, kf2, lam2=lam2),
 }
+
+
+# a fractional boson number is refused, not truncated for the basis while
+# the coupling keeps the fraction
+BOSON_COUNT_ENTRY_POINTS = {
+    "effective_spectrum": lambda n: effective_spectrum(single_mode_v(), sample_w(), 1, n),
+    "theorem1_compare": lambda n: theorem1_compare(single_mode_v(), sample_w(), n, [1]),
+    "make_trial_state": lambda n: make_trial_state(
+        [1.0], ModeSet.ball(1, 1), [(0, 0, 0)], n, single_mode_v()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOSON_COUNT_ENTRY_POINTS))
+def test_fractional_boson_numbers_are_refused(entry):
+    with pytest.raises(ValidationError, match="boson number must be an integer"):
+        BOSON_COUNT_ENTRY_POINTS[entry](2.5)
 
 
 @pytest.mark.parametrize("below", [0, 1], ids=["at", "below"])
