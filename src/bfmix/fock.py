@@ -572,12 +572,14 @@ class FockBasis:
         key = modes @ _KEY_WEIGHTS  # keys add like momenta
         h_key, h_code = np.unique(key[holes].sum(axis=1), return_inverse=True)
         qs = np.array([q or _ZERO for q in self._class_id], dtype=np.int64) @ _KEY_WEIGHTS
-        want = (np.dot(self.momentum_sector or _ZERO, _KEY_WEIGHTS) + h_key)[:, None] - qs
+        # one row per class: each row is sorted (h_key is), so the queries of
+        # a searchsorted pass arrive in order; lo and hi are returned per hole
+        want = (np.dot(self.momentum_sector or _ZERO, _KEY_WEIGHTS) + h_key) - qs[:, None]
         have = key[parts].sum(axis=1)
         order = np.argsort(have, kind="stable")
         have = have[order]
         return (parts, holes, np.argsort(h_code, kind="stable"), np.bincount(h_code),
-                order, have.searchsorted(want), have.searchsorted(want, "right"))
+                order, have.searchsorted(want).T, have.searchsorted(want, "right").T)
 
     # -- lookup ---------------------------------------------------------
     def block(self, parts, holes) -> tuple[np.ndarray, np.ndarray] | None:

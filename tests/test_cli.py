@@ -467,6 +467,19 @@ def test_scatter_csv_output_with_metadata(runner, radial_files, tmp_path):
     assert len(lines) == 5
 
 
+def test_scatter_rerun_byte_identical(runner, radial_files, tmp_path):
+    out = tmp_path / "curve.csv"
+    args = ["scatter", "--w", radial_files["w"], "--v", radial_files["v"],
+            "--g", "0:0.5:2", "--collapse", "--psi", radial_files["psi"], "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        runs.append((result.output, out.read_bytes()))
+        out.unlink()
+    assert runs[0] == runs[1]
+
+
 def test_scatter_collapse_requires_psi(runner, radial_files):
     result = runner.invoke(main, [
         "scatter", "--w", radial_files["w"], "--v", radial_files["v"],

@@ -98,16 +98,21 @@ def _nested_convolution_gather(v: RadialProfile, cum: _CumulativeRU, steps: int)
     return acc
 
 
-def _integrate_zero_energy_loop(w: RadialProfile, steps: int):
-    """Reference: the zero-energy RK4 on NumPy scalars, as first written."""
+def _integrate_zero_energy_loop(w: RadialProfile, steps: int, dtype=np.float64):
+    """Reference: the zero-energy RK4 stepped one step at a time on NumPy
+    scalars of ``dtype``, as first written (float64).
+
+    With ``dtype=np.longdouble`` the same staged RK4 runs in extended
+    precision from the same float64 samples of w: the oracle of the scan.
+    """
     r_end = w.r_max
-    h = r_end / steps
+    h = dtype(r_end) / steps
     half_grid = np.linspace(0.0, r_end, 2 * steps + 1)
-    w_half = w(half_grid)
-    u = np.empty(steps + 1)
-    du = np.empty(steps + 1)
-    u[0], du[0] = 0.0, 1.0
-    ui, dui = 0.0, 1.0
+    w_half = w(half_grid).astype(dtype)
+    u = np.empty(steps + 1, dtype=dtype)
+    du = np.empty(steps + 1, dtype=dtype)
+    ui, dui = dtype(0.0), dtype(1.0)
+    u[0], du[0] = ui, dui
     for i in range(steps):
         w0, wm, w1 = w_half[2 * i], w_half[2 * i + 1], w_half[2 * i + 2]
         k1u, k1d = dui, 0.5 * w0 * ui
@@ -118,6 +123,26 @@ def _integrate_zero_energy_loop(w: RadialProfile, steps: int):
         dui += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
         u[i + 1], du[i + 1] = ui, dui
     return np.linspace(0.0, r_end, steps + 1), u, du
+
+
+def _rk4_case(case: str) -> RadialProfile:
+    v = _gaussian(0.6, 1.0, 4.0)
+    w = _gaussian(1.0, 1.5, 8.0)
+    vv = radial_convolution(v, v)
+    return {
+        # sharp edge strictly inside the range, as combine leaves it
+        "step": combine(1.0, _ball(height=2.0), 0.0, _ball(radius=2.0)),
+        "barrier": _ball(height=2.0),
+        "gaussian_g0": combine(1.0, w, 0.0, vv, n_min=4097),
+        "gaussian_g1.5": combine(1.0, w, -2.25, vv, n_min=4097),
+        "barrier_50": _ball(height=50.0),
+        "barrier_400": _ball(height=400.0),
+        "well_400": _ball(height=-400.0),
+        # u = sin(3.5 r) crosses zero inside: the bound-state case
+        "bound_state": _ball(height=-24.5),
+        # k = sqrt(2.465) is just below pi/2: u'(1) = k cos k ~ 1e-3
+        "near_resonance": _ball(height=-4.93),
+    }[case]
 
 
 def _pair_integral(rr: RadialProfile, w: RadialProfile) -> float:
@@ -289,23 +314,34 @@ class TestRadialConvolution:
 
 class TestScatteringLength:
     @pytest.mark.parametrize("steps", [4096, 8192])
-    @pytest.mark.parametrize("case", ["step", "barrier", "gaussian_g0", "gaussian_g1.5"])
-    def test_rk4_matches_numpy_scalar_loop_bitwise(self, case, steps):
-        # Python floats and NumPy float64 scalars do the same IEEE arithmetic.
+    @pytest.mark.parametrize("case", [
+        "step", "barrier", "gaussian_g0", "gaussian_g1.5", "barrier_50", "barrier_400",
+        "well_400", "bound_state", "near_resonance",
+    ])
+    def test_rk4_scan_matches_extended_precision_loop(self, case, steps):
+        assert np.finfo(np.longdouble).eps < 1e-18  # else the oracle is float64 again
+        profile = _rk4_case(case)
+        _, u, du = _integrate_zero_energy(profile, steps)
+        _, u_ref, du_ref = _integrate_zero_energy_loop(profile, steps, dtype=np.longdouble)
+        for got, want in ((u, u_ref), (du, du_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_length_matches_extended_precision_loop(self, g):
+        assert np.finfo(np.longdouble).eps < 1e-18
         v = _gaussian(0.6, 1.0, 4.0)
         w = _gaussian(1.0, 1.5, 8.0)
-        vv = radial_convolution(v, v)
-        profile = {
-            # sharp edge strictly inside the range, as combine leaves it
-            "step": combine(1.0, _ball(height=2.0), 0.0, _ball(radius=2.0)),
-            "barrier": _ball(height=2.0),
-            "gaussian_g0": combine(1.0, w, 0.0, vv, n_min=4097),
-            "gaussian_g1.5": combine(1.0, w, -2.25, vv, n_min=4097),
-        }[case]
-        got = _integrate_zero_energy(profile, steps)
-        want = _integrate_zero_energy_loop(profile, steps)
-        for g, x in zip(got, want):
-            assert np.array_equal(g, x)
+        w_g = combine(1.0, w, -g * g, radial_convolution(v, v), n_min=4097)
+        _, u, du = _integrate_zero_energy_loop(w_g, 8192, dtype=np.longdouble)
+        want = w_g.r_max - u[-1] / du[-1]
+        assert abs(scattering_length(w_g).a - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("steps", [0, -4, 2.5, True])
+    def test_steps_validated(self, steps):
+        with pytest.raises(ValidationError, match="steps"):
+            scattering_length(_ball(height=2.0), steps=steps)
+        with pytest.raises(ValidationError, match="steps"):
+            _integrate_zero_energy(_ball(height=2.0), steps)
 
     def test_zero_potential(self):
         assert scattering_length(RadialProfile.step(0.0, 1.0)).a == 0.0
